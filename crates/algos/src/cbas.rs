@@ -9,22 +9,16 @@
 //! answer; Theorem 5 lower-bounds its expected quality
 //! ([`crate::theory::expected_quality_ratio`]).
 //!
-//! [`Cbas`] is a thin configuration over the shared
-//! [`crate::engine::StagedEngine`]: uniform candidate distribution,
-//! uniform-OCBA allocation, serial execution. The stage loop itself lives
-//! in the engine, not here.
-
-use std::sync::Arc;
+//! This module holds the staged-CBAS parameters, [`CbasConfig`]. The
+//! solver is the `cbas` preset of [`crate::StagedSolver`] — uniform
+//! candidate distribution and uniform-OCBA allocation over the shared
+//! [`crate::engine::StagedEngine`], which owns the stage loop.
 
 use waso_core::WasoInstance;
 use waso_graph::{BitSet, NodeId};
 
-use crate::engine::{Distribution, StagedEngine, StartMode};
-use crate::exec::{ExecBackend, SharedPool};
 use crate::ocba::derive_stages;
 use crate::sampler::{default_num_start_nodes, select_start_nodes};
-use crate::spec::PoolMode;
-use crate::{SolveError, SolveResult, Solver};
 
 /// Configuration shared by CBAS and (via [`crate::CbasNdConfig`]) CBAS-ND.
 #[derive(Debug, Clone)]
@@ -139,144 +133,10 @@ impl CbasConfig {
     }
 }
 
-/// The CBAS solver: [`crate::engine::StagedEngine`] with the uniform
-/// candidate distribution — serial by default, pooled when a worker count
-/// is set (`cbas:threads=N`; the engine's `Uniform × Pool` cell,
-/// bit-identical to serial for every thread count).
-#[derive(Debug, Clone)]
-pub struct Cbas {
-    config: CbasConfig,
-    threads: Option<usize>,
-    pool: PoolMode,
-}
-
-impl Cbas {
-    /// Creates the (serial) solver.
-    pub fn new(config: CbasConfig) -> Self {
-        Self {
-            config,
-            threads: None,
-            pool: PoolMode::default(),
-        }
-    }
-
-    /// Creates the solver on the pooled backend with `threads` workers
-    /// (≥ 1). Same answer as serial CBAS for any count.
-    pub fn with_threads(config: CbasConfig, threads: usize) -> Self {
-        Self {
-            config,
-            threads: Some(threads.max(1)),
-            pool: PoolMode::default(),
-        }
-    }
-
-    /// Selects where a pooled solve's workers come from (`pool=shared`
-    /// routes through the session's [`SharedPool`], `pool=private` spawns
-    /// a per-solve pool). Scheduling only; the answer is identical.
-    pub fn pool_mode(mut self, pool: PoolMode) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CbasConfig {
-        &self.config
-    }
-
-    /// Worker count, when the pooled backend is selected.
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
-    fn engine(&self) -> StagedEngine {
-        let engine = StagedEngine::new(self.config.clone(), Distribution::Uniform);
-        match self.threads {
-            Some(threads) => engine.backend(ExecBackend::Pool { threads }),
-            None => engine,
-        }
-    }
-}
-
-impl Solver for Cbas {
-    fn name(&self) -> &'static str {
-        "cbas"
-    }
-
-    fn capabilities(&self) -> crate::Capabilities {
-        crate::Capabilities {
-            randomized: true,
-            // Instance-accurate: only a threads-configured CBAS actually
-            // fans out (the registry entry advertises the knob itself).
-            parallel: self.threads.is_some(),
-            anytime: true,
-            ..crate::Capabilities::default()
-        }
-    }
-
-    fn solve_seeded(
-        &mut self,
-        instance: &WasoInstance,
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        self.engine().solve(instance, StartMode::Fresh, seed)
-    }
-
-    fn pool_threads(&self) -> Option<usize> {
-        match self.pool {
-            // A private-pool solve never routes through the shared pool:
-            // solve_seeded spawns (and tears down) its own workers.
-            PoolMode::Private => None,
-            PoolMode::Shared => self.threads,
-        }
-    }
-
-    fn solve_pooled(
-        &mut self,
-        instance: &Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: &SharedPool,
-    ) -> Result<SolveResult, SolveError> {
-        if !required.is_empty() {
-            // CBAS has no partial-solution growth; the session rejects
-            // this combination before building, this is the backstop.
-            return Err(SolveError::RequiredUnsupported { solver: "cbas" });
-        }
-        self.engine()
-            .solve_in_pool(pool, instance, StartMode::Fresh, seed)
-    }
-
-    /// Anytime CBAS: the engine checks `control` at every stage boundary
-    /// (cancel/deadline), honours `patience=`, and streams incumbents.
-    fn solve_controlled(
-        &mut self,
-        instance: &Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: Option<&SharedPool>,
-        control: &crate::JobControl,
-    ) -> Result<SolveResult, SolveError> {
-        if !required.is_empty() {
-            return Err(SolveError::RequiredUnsupported { solver: "cbas" });
-        }
-        match pool {
-            Some(pool) => self.engine().solve_in_pool_controlled(
-                pool,
-                instance,
-                StartMode::Fresh,
-                seed,
-                control,
-            ),
-            None => self
-                .engine()
-                .solve_controlled(instance, StartMode::Fresh, seed, control),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SolveError, Solver, StagedSolver};
     use rand::SeedableRng;
     use waso_graph::{generate, GraphBuilder, ScoreModel};
 
@@ -294,7 +154,7 @@ mod tests {
 
     #[test]
     fn finds_the_figure1_optimum() {
-        let mut solver = Cbas::new(CbasConfig::fast());
+        let mut solver = StagedSolver::cbas(CbasConfig::fast());
         let res = solver.solve_seeded(&figure1_instance(), 1).unwrap();
         assert_eq!(res.group.willingness(), 30.0);
         assert_eq!(res.group.nodes(), &[NodeId(1), NodeId(2), NodeId(3)]);
@@ -306,7 +166,7 @@ mod tests {
         let topo = generate::barabasi_albert(80, 4, &mut rng);
         let g = ScoreModel::paper_default().realize(&topo, &mut rng);
         let inst = WasoInstance::new(g, 6).unwrap();
-        let mut solver = Cbas::new(CbasConfig {
+        let mut solver = StagedSolver::cbas(CbasConfig {
             budget: 150,
             stages: Some(3),
             ..CbasConfig::with_budget(150)
@@ -319,10 +179,10 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = figure1_instance();
-        let a = Cbas::new(CbasConfig::fast())
+        let a = StagedSolver::cbas(CbasConfig::fast())
             .solve_seeded(&inst, 11)
             .unwrap();
-        let b = Cbas::new(CbasConfig::fast())
+        let b = StagedSolver::cbas(CbasConfig::fast())
             .solve_seeded(&inst, 11)
             .unwrap();
         assert_eq!(a.group, b.group);
@@ -338,13 +198,13 @@ mod tests {
         let g = ScoreModel::paper_default().realize(&topo, &mut rng);
         let inst = WasoInstance::new(g, 5).unwrap();
 
-        let small = Cbas::new(CbasConfig {
+        let small = StagedSolver::cbas(CbasConfig {
             stages: Some(1),
             ..CbasConfig::with_budget(4)
         })
         .solve_seeded(&inst, 3)
         .unwrap();
-        let large = Cbas::new(CbasConfig {
+        let large = StagedSolver::cbas(CbasConfig {
             stages: Some(4),
             ..CbasConfig::with_budget(400)
         })
@@ -358,7 +218,7 @@ mod tests {
         let inst = figure1_instance();
         let mut blocked = BitSet::new(4);
         blocked.insert(3); // exclude v4 — the optimum must become 27
-        let mut solver = Cbas::new(CbasConfig {
+        let mut solver = StagedSolver::cbas(CbasConfig {
             blocked: Some(blocked),
             ..CbasConfig::fast()
         });
@@ -378,7 +238,7 @@ mod tests {
         }
         let _ = hub;
         let inst = WasoInstance::new(b.build(), 3).unwrap();
-        let mut solver = Cbas::new(CbasConfig {
+        let mut solver = StagedSolver::cbas(CbasConfig {
             num_start_nodes: Some(3),
             stages: Some(2),
             ..CbasConfig::with_budget(60)
@@ -390,15 +250,19 @@ mod tests {
 
     #[test]
     fn pooled_cbas_is_bit_identical_to_serial() {
+        // The engine's `Uniform × pool` cell.
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let topo = generate::barabasi_albert(70, 3, &mut rng);
         let g = ScoreModel::paper_default().realize(&topo, &mut rng);
         let inst = WasoInstance::new(g, 5).unwrap();
         let mut cfg = CbasConfig::with_budget(120);
         cfg.stages = Some(4);
-        let serial = Cbas::new(cfg.clone()).solve_seeded(&inst, 8).unwrap();
+        let serial = StagedSolver::cbas(cfg.clone())
+            .solve_seeded(&inst, 8)
+            .unwrap();
         for threads in [1, 2, 4, 8] {
-            let pooled = Cbas::with_threads(cfg.clone(), threads)
+            let pooled = StagedSolver::cbas(cfg.clone())
+                .threads(threads)
                 .solve_seeded(&inst, 8)
                 .unwrap();
             assert_eq!(pooled.group, serial.group, "threads={threads}");
@@ -417,7 +281,7 @@ mod tests {
         b.add_node(1.0);
         b.add_node(1.0);
         let inst = WasoInstance::new(b.build(), 2).unwrap();
-        let err = Cbas::new(CbasConfig::fast())
+        let err = StagedSolver::cbas(CbasConfig::fast())
             .solve_seeded(&inst, 0)
             .unwrap_err();
         assert_eq!(err, SolveError::NoFeasibleGroup);

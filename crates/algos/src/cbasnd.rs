@@ -16,22 +16,18 @@
 //! Theorem 6 shows this converges to the optimum faster than CBAS for the
 //! same budget; the Figure 5/7/8 harnesses measure exactly that.
 //!
-//! [`CbasNd`] is a thin configuration over the shared
-//! [`crate::engine::StagedEngine`] — cross-entropy candidate distribution,
-//! uniform-OCBA or Gaussian allocation, serial execution. The stage loop,
-//! prune accounting and best-tracking merge live in the engine; the
+//! This module holds the CBAS-ND parameters, [`CbasNdConfig`]. The solver
+//! is the `cbas-nd` / `cbas-nd-g` preset of [`crate::StagedSolver`] —
+//! cross-entropy candidate distribution, uniform-OCBA or Gaussian
+//! allocation over the shared [`crate::engine::StagedEngine`]. The stage
+//! loop, prune accounting and best-tracking merge live in the engine; the
 //! elite/γ update lives with the vectors in
 //! [`crate::cross_entropy::update_vector`].
 
-use waso_core::WasoInstance;
-use waso_graph::NodeId;
-
 use crate::cbas::CbasConfig;
-use crate::engine::{StagedEngine, StartMode};
 use crate::gaussian::Allocation;
-use crate::{SolveError, SolveResult, Solver};
 
-/// Configuration of [`CbasNd`].
+/// Configuration of the CBAS-ND family ([`crate::StagedSolver::cbas_nd`]).
 #[derive(Debug, Clone)]
 pub struct CbasNdConfig {
     /// The staged-CBAS parameters (budget, start nodes, stages, …).
@@ -95,145 +91,14 @@ impl CbasNdConfig {
     }
 }
 
-/// The CBAS-ND solver: [`crate::engine::StagedEngine`] with the
-/// cross-entropy candidate distribution.
-#[derive(Debug, Clone)]
-pub struct CbasNd {
-    config: CbasNdConfig,
-    /// Incumbent offered via [`Solver::warm_start`], forwarded to the
-    /// engine so the best-so-far starts from it instead of from nothing.
-    incumbent: Option<Vec<NodeId>>,
-}
-
-impl CbasNd {
-    /// Creates the solver.
-    pub fn new(config: CbasNdConfig) -> Self {
-        Self {
-            config,
-            incumbent: None,
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CbasNdConfig {
-        &self.config
-    }
-
-    /// Crate alias used by the online planner (the confirmed attendees
-    /// seed every sample). Same contract as the
-    /// [`Solver::solve_with_required`] implementation below.
-    pub(crate) fn solve_with_seeds(
-        &mut self,
-        instance: &WasoInstance,
-        seeds: &[NodeId],
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        Solver::solve_with_required(self, instance, seeds, seed)
-    }
-
-    fn engine(&self) -> StagedEngine {
-        let engine = StagedEngine::from_cbasnd(&self.config);
-        match &self.incumbent {
-            Some(nodes) => engine.warm_start(nodes.clone()),
-            None => engine,
-        }
-    }
-}
-
-impl Solver for CbasNd {
-    fn name(&self) -> &'static str {
-        match self.config.allocation {
-            Allocation::UniformOcba => "cbas-nd",
-            Allocation::Gaussian => "cbas-nd-g",
-        }
-    }
-
-    fn capabilities(&self) -> crate::Capabilities {
-        crate::Capabilities {
-            required_attendees: true,
-            randomized: true,
-            anytime: true,
-            warm_start: true,
-            ..crate::Capabilities::default()
-        }
-    }
-
-    /// Stores the incumbent; every subsequent solve seeds its
-    /// best-so-far from it (when feasible — see
-    /// [`StagedEngine::warm_start`]). The sample stream is untouched, so
-    /// a warm-started solve is a pure function of
-    /// (instance, config, seed, incumbent).
-    fn warm_start(&mut self, incumbent: &waso_core::Group) {
-        self.incumbent = Some(incumbent.nodes().to_vec());
-    }
-
-    fn solve_seeded(
-        &mut self,
-        instance: &WasoInstance,
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        self.engine().solve(instance, StartMode::Fresh, seed)
-    }
-
-    /// Solves with *required attendees*: every sample grows from the given
-    /// partial solution, so all `required` nodes appear in the answer.
-    ///
-    /// This powers two paper features: the §4.4.1 online extension (the
-    /// confirmed attendees are required) and the §6 future-work item
-    /// "allow users to specify some attendees that must be included in a
-    /// certain group activity".
-    ///
-    /// `required` must contain no duplicates or blocked nodes and have at
-    /// most `k` members. The required set itself need not be connected —
-    /// feasibility of the full group is validated on the way out
-    /// (`Err(SolveError::NoFeasibleGroup)` when no sample can connect
-    /// everything).
-    fn solve_with_required(
-        &mut self,
-        instance: &WasoInstance,
-        required: &[NodeId],
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        if required.is_empty() {
-            return self.solve_seeded(instance, seed);
-        }
-        if required.len() > instance.k() {
-            return Err(SolveError::NoFeasibleGroup);
-        }
-        self.engine()
-            .solve(instance, StartMode::Partial(required), seed)
-    }
-
-    /// Anytime CBAS-ND: stage-boundary cancel/deadline checks,
-    /// `patience=` convergence stops and incumbent streaming, for fresh
-    /// and required-attendee solves alike. Serial — the (ignored) `pool`
-    /// is for solvers whose backend fans out.
-    fn solve_controlled(
-        &mut self,
-        instance: &std::sync::Arc<waso_core::WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        _pool: Option<&crate::SharedPool>,
-        control: &crate::JobControl,
-    ) -> Result<SolveResult, SolveError> {
-        if required.len() > instance.k() {
-            return Err(SolveError::NoFeasibleGroup);
-        }
-        let mode = if required.is_empty() {
-            StartMode::Fresh
-        } else {
-            StartMode::Partial(required)
-        };
-        self.engine()
-            .solve_controlled(instance, mode, seed, control)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Solver, StagedSolver};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use waso_core::WasoInstance;
+    use waso_graph::NodeId;
     use waso_graph::{generate, GraphBuilder, ScoreModel};
 
     fn figure1_instance() -> WasoInstance {
@@ -257,7 +122,7 @@ mod tests {
 
     #[test]
     fn finds_the_figure1_optimum() {
-        let mut solver = CbasNd::new(CbasNdConfig::fast());
+        let mut solver = StagedSolver::cbas_nd(CbasNdConfig::fast());
         let res = solver.solve_seeded(&figure1_instance(), 1).unwrap();
         assert_eq!(res.group.willingness(), 30.0);
     }
@@ -265,10 +130,10 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = random_instance(50, 5, 1);
-        let a = CbasNd::new(CbasNdConfig::fast())
+        let a = StagedSolver::cbas_nd(CbasNdConfig::fast())
             .solve_seeded(&inst, 9)
             .unwrap();
-        let b = CbasNd::new(CbasNdConfig::fast())
+        let b = StagedSolver::cbas_nd(CbasNdConfig::fast())
             .solve_seeded(&inst, 9)
             .unwrap();
         assert_eq!(a.group, b.group);
@@ -280,7 +145,7 @@ mod tests {
         let inst = random_instance(60, 6, 2);
         let mut cfg = CbasNdConfig::with_budget(120);
         cfg.base.stages = Some(4);
-        let res = CbasNd::new(cfg).solve_seeded(&inst, 3).unwrap();
+        let res = StagedSolver::cbas_nd(cfg).solve_seeded(&inst, 3).unwrap();
         assert_eq!(res.stats.samples_drawn, 120);
         assert_eq!(res.stats.stages, 4);
     }
@@ -290,7 +155,7 @@ mod tests {
         let inst = random_instance(50, 5, 3);
         let mut cfg = CbasNdConfig::with_budget(100).gaussian();
         cfg.base.stages = Some(4);
-        let mut solver = CbasNd::new(cfg);
+        let mut solver = StagedSolver::cbas_nd(cfg);
         assert_eq!(solver.name(), "cbas-nd-g");
         let res = solver.solve_seeded(&inst, 4).unwrap();
         assert_eq!(res.group.len(), 5);
@@ -303,20 +168,19 @@ mod tests {
         // Huge threshold: every update counts as converged → reverts.
         let mut cfg = CbasNdConfig::with_budget(80).with_backtracking(1e9);
         cfg.base.stages = Some(4);
-        let res = CbasNd::new(cfg).solve_seeded(&inst, 5).unwrap();
+        let res = StagedSolver::cbas_nd(cfg).solve_seeded(&inst, 5).unwrap();
         assert!(res.stats.backtracks > 0);
 
         // Zero threshold: never converged → never reverts.
         let mut cfg = CbasNdConfig::with_budget(80).with_backtracking(0.0);
         cfg.base.stages = Some(4);
-        let res = CbasNd::new(cfg).solve_seeded(&inst, 5).unwrap();
+        let res = StagedSolver::cbas_nd(cfg).solve_seeded(&inst, 5).unwrap();
         assert_eq!(res.stats.backtracks, 0);
     }
 
     #[test]
     fn matches_or_beats_cbas_on_average() {
         // Theorem 6's claim, measured: same budget, averaged over seeds.
-        use crate::cbas::{Cbas, CbasConfig};
         let inst = random_instance(120, 8, 7);
         let budget = 150u64;
         let mut nd_total = 0.0;
@@ -324,10 +188,12 @@ mod tests {
         for seed in 0..8 {
             let mut nd_cfg = CbasNdConfig::with_budget(budget);
             nd_cfg.base.stages = Some(5);
-            let nd = CbasNd::new(nd_cfg).solve_seeded(&inst, seed).unwrap();
+            let nd = StagedSolver::cbas_nd(nd_cfg)
+                .solve_seeded(&inst, seed)
+                .unwrap();
             let mut c_cfg = CbasConfig::with_budget(budget);
             c_cfg.stages = Some(5);
-            let cb = Cbas::new(c_cfg).solve_seeded(&inst, seed).unwrap();
+            let cb = StagedSolver::cbas(c_cfg).solve_seeded(&inst, seed).unwrap();
             nd_total += nd.group.willingness();
             cbas_total += cb.group.willingness();
         }
@@ -345,7 +211,9 @@ mod tests {
         // seed clique, node 0 too).
         let mut cfg = CbasNdConfig::with_budget(60);
         cfg.base.stages = Some(3);
-        let res = CbasNd::new(cfg).solve_with_seeds(&inst, &seeds, 2).unwrap();
+        let res = StagedSolver::cbas_nd(cfg)
+            .solve_with_required(&inst, &seeds, 2)
+            .unwrap();
         assert!(res.group.contains(NodeId(0)));
         assert!(res.group.contains(NodeId(1)));
         assert_eq!(res.group.len(), 6);
@@ -357,7 +225,7 @@ mod tests {
         let required = [NodeId(2), NodeId(3)];
         let mut cfg = CbasNdConfig::with_budget(80);
         cfg.base.stages = Some(3);
-        let res = CbasNd::new(cfg)
+        let res = StagedSolver::cbas_nd(cfg)
             .solve_with_required(&inst, &required, 4)
             .unwrap();
         for &v in &required {
@@ -370,7 +238,7 @@ mod tests {
     fn too_many_required_is_infeasible() {
         let inst = random_instance(30, 3, 22);
         let required: Vec<NodeId> = (0..4u32).map(NodeId).collect();
-        let err = CbasNd::new(CbasNdConfig::fast())
+        let err = StagedSolver::cbas_nd(CbasNdConfig::fast())
             .solve_with_required(&inst, &required, 0)
             .unwrap_err();
         assert_eq!(err, crate::SolveError::NoFeasibleGroup);
@@ -388,7 +256,7 @@ mod tests {
         let inst = WasoInstance::new(b.build(), 5).unwrap();
         let mut cfg = CbasNdConfig::with_budget(40);
         cfg.base.stages = Some(2);
-        let res = CbasNd::new(cfg.clone())
+        let res = StagedSolver::cbas_nd(cfg.clone())
             .solve_with_required(&inst, &[NodeId(0), NodeId(4)], 1)
             .unwrap();
         assert_eq!(res.group.len(), 5);
@@ -409,7 +277,7 @@ mod tests {
             3,
         )
         .unwrap();
-        let err = CbasNd::new(cfg)
+        let err = StagedSolver::cbas_nd(cfg)
             .solve_with_required(&inst3, &[NodeId(0), NodeId(4)], 1)
             .unwrap_err();
         assert_eq!(err, crate::SolveError::NoFeasibleGroup);
@@ -420,7 +288,7 @@ mod tests {
         let inst = figure1_instance();
         let mut cfg = CbasNdConfig::fast();
         cfg.base.start_override = Some(vec![NodeId(0)]);
-        let res = CbasNd::new(cfg).solve_seeded(&inst, 0).unwrap();
+        let res = StagedSolver::cbas_nd(cfg).solve_seeded(&inst, 0).unwrap();
         assert!(res.group.contains(NodeId(0)));
         assert_eq!(res.stats.start_nodes, 1);
     }

@@ -19,19 +19,21 @@
 //!   after every stage ([`crate::cross_entropy::update_vector`], CBAS-ND,
 //!   including the [`StartMode::Partial`] online-replanning path of
 //!   §4.4.1);
-//! * **execution backend** — [`ExecBackend::Serial`], or
-//!   [`ExecBackend::Pool`] with a persistent worker pool spawned once per
-//!   solve ([`crate::exec`]).
+//! * **execution backend** — the calling thread
+//!   ([`StagedEngine::solve_controlled`]) or the workers of a
+//!   [`SharedPool`] ([`StagedEngine::solve_in_pool_controlled`]; see
+//!   [`crate::exec`]).
 //!
-//! [`crate::Cbas`], [`crate::CbasNd`] and [`crate::ParallelCbasNd`] are
-//! thin, registry-visible configurations over this engine.
+//! [`crate::StagedSolver`] is the one registry-visible solver over this
+//! engine: `cbas`, `cbas-nd` and `cbas-nd-g` are its presets, and its
+//! `threads=` knob picks the pool backend.
 //!
 //! ## Determinism contract
 //!
 //! Every `(start node, stage, sample)` triple draws from its own RNG
-//! stream ([`crate::sample_seed`]) and the merge processes results in
+//! stream (`sample_seed`) and the merge processes results in
 //! sample order, so the outcome is **bit-identical for every backend and
-//! thread count**; `tests/determinism.rs` and the `tests/properties.rs`
+//! worker count**; `tests/determinism.rs` and the `tests/properties.rs`
 //! proptest pin this down.
 //!
 //! ## Budget accounting
@@ -70,9 +72,7 @@ use waso_graph::NodeId;
 use crate::cbas::CbasConfig;
 use crate::cbasnd::CbasNdConfig;
 use crate::cross_entropy::{update_vector, ProbabilityVector};
-use crate::exec::{
-    ExecBackend, SerialExec, SharedPool, SolveCtx, StageExec, StageShared, WorkItem, WorkerPool,
-};
+use crate::exec::{SerialExec, SharedPool, SolveCtx, StageExec, StageShared, WorkItem};
 use crate::gaussian::{allocate_stage_gaussian, Allocation, GaussStats};
 use crate::job::{JobControl, Termination};
 use crate::ocba::{allocate_stage, stage_budgets, uniform_split, StartStats};
@@ -105,21 +105,19 @@ pub enum StartMode<'a> {
     /// Grow every sample from a fixed partial solution — the §4.4.1 online
     /// extension (confirmed attendees) and required-attendee solves.
     /// Samples are independent draws from the same seed set, so partial
-    /// solves run on every backend (serial, per-solve pool, session pool)
-    /// with bit-identical results.
+    /// solves run on both backends (serial, pooled) with bit-identical
+    /// results.
     Partial(&'a [NodeId]),
 }
 
 /// The unified staged-sampling engine. See the module docs for the three
 /// axes; construction is via [`StagedEngine::new`] (CBAS shape) or
-/// [`StagedEngine::from_cbasnd`] (CBAS-ND shape) plus the builder-style
-/// [`StagedEngine::backend`] override.
+/// [`StagedEngine::from_cbasnd`] (CBAS-ND shape).
 #[derive(Debug, Clone)]
 pub struct StagedEngine {
-    base: CbasConfig,
-    distribution: Distribution,
-    allocation: Allocation,
-    backend: ExecBackend,
+    pub(crate) base: CbasConfig,
+    pub(crate) distribution: Distribution,
+    pub(crate) allocation: Allocation,
     /// An incumbent group offered via [`StagedEngine::warm_start`]; if it
     /// is feasible for the solved instance it seeds the best-so-far
     /// before the first sample is drawn.
@@ -127,14 +125,13 @@ pub struct StagedEngine {
 }
 
 impl StagedEngine {
-    /// An engine over `base` with the given candidate distribution,
-    /// uniform-OCBA allocation and serial execution.
+    /// An engine over `base` with the given candidate distribution and
+    /// uniform-OCBA allocation.
     pub fn new(base: CbasConfig, distribution: Distribution) -> Self {
         Self {
             base,
             distribution,
             allocation: Allocation::UniformOcba,
-            backend: ExecBackend::Serial,
             warm: None,
         }
     }
@@ -143,15 +140,15 @@ impl StagedEngine {
     /// with the config's allocation rule (uniform OCBA or Gaussian).
     pub fn from_cbasnd(cfg: &CbasNdConfig) -> Self {
         Self {
-            base: cfg.base.clone(),
-            distribution: Distribution::CrossEntropy {
-                rho: cfg.rho,
-                smoothing: cfg.smoothing,
-                backtrack_threshold: cfg.backtrack_threshold,
-            },
             allocation: cfg.allocation,
-            backend: ExecBackend::Serial,
-            warm: None,
+            ..Self::new(
+                cfg.base.clone(),
+                Distribution::CrossEntropy {
+                    rho: cfg.rho,
+                    smoothing: cfg.smoothing,
+                    backtrack_threshold: cfg.backtrack_threshold,
+                },
+            )
         }
     }
 
@@ -161,25 +158,18 @@ impl StagedEngine {
         self
     }
 
-    /// Overrides the execution backend.
-    pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Offers an incumbent group to seed the best-so-far. If the
-    /// incumbent is feasible for the instance being solved (right size,
-    /// valid and distinct members, not blocked, contains the partial-mode
-    /// seeds, connected when required) the solve starts from its
-    /// willingness instead of from nothing — samples then only replace it
-    /// by strictly improving on it. An infeasible incumbent is ignored: a
-    /// warm start is an optimization hint, never a constraint.
+    /// Offers an incumbent group to seed the best-so-far of every later
+    /// solve. If the incumbent is feasible for the instance being solved
+    /// (right size, valid and distinct members, not blocked, contains the
+    /// partial-mode seeds, connected when required) the solve starts from
+    /// its willingness instead of from nothing — samples then only
+    /// replace it by strictly improving on it. An infeasible incumbent is
+    /// ignored: a warm start is an optimization hint, never a constraint.
     ///
     /// Determinism: the sample stream is untouched — a warm-started solve
     /// is a pure function of (instance, config, seed, incumbent).
-    pub fn warm_start(mut self, incumbent: Vec<NodeId>) -> Self {
+    pub fn warm_start(&mut self, incumbent: Vec<NodeId>) {
         self.warm = Some(incumbent);
-        self
     }
 
     /// The staged-CBAS parameters in use.
@@ -187,7 +177,8 @@ impl StagedEngine {
         &self.base
     }
 
-    /// Solves `instance`, deriving all randomness from `seed`.
+    /// Solves `instance` on the calling thread, deriving all randomness
+    /// from `seed`.
     pub fn solve(
         &self,
         instance: &WasoInstance,
@@ -212,36 +203,24 @@ impl StagedEngine {
         seed: u64,
         control: &JobControl,
     ) -> Result<SolveResult, SolveError> {
-        self.run(instance, mode, seed, control)
+        self.run(instance, None, mode, seed, control)
             .map(|(result, _)| result)
     }
 
     /// Solves as one **job** of a [`SharedPool`]: the solve is submitted
     /// to the pool's scheduler and its stages are dealt across the pool's
     /// workers, concurrently with any other jobs (other solves, other
-    /// sessions) the pool is serving. Thread creation is amortized across
-    /// every job of the process, and a worker panic is healed by the pool
-    /// (respawn + re-issue) instead of poisoning it. The pool's worker
-    /// count and deal govern only the schedule; the determinism contract
-    /// makes both invisible — results are bit-identical to
+    /// sessions) the pool is serving. A worker panic is healed by the
+    /// pool (respawn + re-issue) instead of poisoning it. The pool's
+    /// worker count and deal govern only the schedule; the determinism
+    /// contract makes both invisible — results are bit-identical to
     /// [`StagedEngine::solve`] for every pool size, deal, and tenant mix.
-    /// Serial-backend engines ignore the pool and run on the caller's
-    /// thread.
-    pub fn solve_in_pool(
-        &self,
-        pool: &SharedPool,
-        instance: &Arc<WasoInstance>,
-        mode: StartMode<'_>,
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        self.solve_in_pool_controlled(pool, instance, mode, seed, &JobControl::new())
-    }
-
-    /// [`StagedEngine::solve_in_pool`] under a [`JobControl`] (see
-    /// [`StagedEngine::solve_controlled`]): a cancel or elapsed deadline
-    /// makes the pool's workers abandon this job's in-flight chunks
-    /// between samples and stops the job from dealing further ones — the
-    /// pool itself keeps serving its other jobs untouched.
+    ///
+    /// The control works as in [`StagedEngine::solve_controlled`]: a
+    /// cancel or elapsed deadline makes the pool's workers abandon this
+    /// job's in-flight chunks between samples and stops the job from
+    /// dealing further ones — the pool keeps serving its other jobs
+    /// untouched.
     pub fn solve_in_pool_controlled(
         &self,
         pool: &SharedPool,
@@ -250,39 +229,7 @@ impl StagedEngine {
         seed: u64,
         control: &JobControl,
     ) -> Result<SolveResult, SolveError> {
-        if self.backend == ExecBackend::Serial {
-            return self.solve_controlled(instance, mode, seed, control);
-        }
-        let t0 = Instant::now(); // audit:allow(D2): wall-clock feeds SolverStats timing only — never sampling or group choice
-        self.validate()?;
-        if let Some(deadline) = self.base.deadline {
-            control.arm_deadline(deadline);
-        }
-        let (starts, budgets, shared) = self.prepare(instance, mode)?;
-        let ctx = Arc::new(SolveCtx {
-            instance: Arc::clone(instance),
-            blocked: self.base.blocked.clone(),
-            shared,
-            seed,
-            partial: match mode {
-                StartMode::Partial(seeds) => Some(seeds.to_vec()),
-                StartMode::Fresh => None,
-            },
-            stop: Some(control.stop_state()),
-        });
-        let outcome = {
-            let mut job = pool.submit(Arc::clone(&ctx));
-            self.stage_loop(
-                instance,
-                mode,
-                &starts,
-                &budgets,
-                &ctx.shared,
-                &mut job,
-                control,
-            )
-        };
-        self.finalize(instance, mode, t0, starts.len(), outcome)
+        self.run(instance, Some((pool, instance)), mode, seed, control)
             .map(|(result, _)| result)
     }
 
@@ -348,11 +295,14 @@ impl StagedEngine {
         Ok((starts, budgets, StageShared::new(vectors, m)))
     }
 
-    /// The full solve, also returning the per-start-node statistics (test
-    /// hook for the `spent == drawn` budget-accounting invariant).
+    /// The full solve — on the calling thread, or as a job of `pool` (which
+    /// needs the instance `Arc`ed: its workers outlive any borrow) — also
+    /// returning the per-start-node statistics (test hook for the
+    /// `spent == drawn` budget-accounting invariant).
     fn run(
         &self,
         instance: &WasoInstance,
+        pool: Option<(&SharedPool, &Arc<WasoInstance>)>,
         mode: StartMode<'_>,
         seed: u64,
         control: &JobControl,
@@ -365,51 +315,48 @@ impl StagedEngine {
         let (starts, budgets, shared) = self.prepare(instance, mode)?;
 
         // Partial-mode samples grow from the same seed set but are
-        // independent draws, so every mode follows the configured backend.
+        // independent draws, so every mode runs on either backend.
         let partial: Option<&[NodeId]> = match mode {
             StartMode::Partial(seeds) => Some(seeds),
             StartMode::Fresh => None,
         };
-        let outcome = match self.backend {
-            ExecBackend::Serial => {
+        let stop = Some(control.stop_state());
+        let outcome = match pool {
+            None => {
                 let mut sampler = Sampler::for_instance(instance);
                 sampler.set_blocked(self.base.blocked.clone());
+                let mut exec = SerialExec {
+                    instance,
+                    shared: &shared,
+                    sampler,
+                    seed,
+                    partial,
+                    stop,
+                };
+                self.stage_loop(
+                    instance, mode, &starts, &budgets, &shared, &mut exec, control,
+                )
+            }
+            Some((pool, owned)) => {
+                let ctx = Arc::new(SolveCtx {
+                    instance: Arc::clone(owned),
+                    blocked: self.base.blocked.clone(),
+                    shared,
+                    seed,
+                    partial: partial.map(<[NodeId]>::to_vec),
+                    stop,
+                });
+                let mut job = pool.submit(Arc::clone(&ctx));
                 self.stage_loop(
                     instance,
                     mode,
                     &starts,
                     &budgets,
-                    &shared,
-                    &mut SerialExec {
-                        instance,
-                        shared: &shared,
-                        sampler,
-                        seed,
-                        partial,
-                        stop: Some(control.stop_state()),
-                    },
+                    &ctx.shared,
+                    &mut job,
                     control,
                 )
             }
-            ExecBackend::Pool { threads } => std::thread::scope(|scope| {
-                // Spawned ONCE per solve; stages only exchange channel
-                // messages with the parked workers. (Sessions amortize
-                // further: `solve_in_pool` borrows an already-spawned
-                // session pool instead.)
-                let mut pool = WorkerPool::spawn(
-                    scope,
-                    threads,
-                    instance,
-                    &self.base.blocked,
-                    &shared,
-                    seed,
-                    partial,
-                    Some(control.stop_state()),
-                );
-                self.stage_loop(
-                    instance, mode, &starts, &budgets, &shared, &mut pool, control,
-                )
-            }),
         };
         self.finalize(instance, mode, t0, starts.len(), outcome)
     }
@@ -767,6 +714,31 @@ mod tests {
         WasoInstance::new(b.build(), 3).unwrap()
     }
 
+    /// Solves on the calling thread (`threads = None`) or on a transient
+    /// `SharedPool` of that many workers — the two backends.
+    fn solve_on(
+        eng: &StagedEngine,
+        inst: &WasoInstance,
+        mode: StartMode<'_>,
+        seed: u64,
+        threads: Option<usize>,
+        control: &JobControl,
+    ) -> Result<(SolveResult, Vec<StartStats>), SolveError> {
+        match threads {
+            None => eng.run(inst, None, mode, seed, control),
+            Some(t) => {
+                let pool = SharedPool::new(t);
+                eng.run(
+                    inst,
+                    Some((&pool, &Arc::new(inst.clone()))),
+                    mode,
+                    seed,
+                    control,
+                )
+            }
+        }
+    }
+
     fn engine(budget: u64, stages: u32, m: usize, dist: Distribution) -> StagedEngine {
         let base = CbasConfig {
             stages: Some(stages),
@@ -791,7 +763,13 @@ mod tests {
         ] {
             let eng = engine(60, 2, 3, dist);
             let (result, stats) = eng
-                .run(&stalled_instance(), StartMode::Fresh, 0, &JobControl::new())
+                .run(
+                    &stalled_instance(),
+                    None,
+                    StartMode::Fresh,
+                    0,
+                    &JobControl::new(),
+                )
                 .unwrap();
             let spent: u64 = stats.iter().map(|s| s.spent).sum();
             assert_eq!(spent, result.stats.samples_drawn, "{dist:?}");
@@ -820,12 +798,23 @@ mod tests {
             },
         );
         let (serial, s_stats) = eng
-            .run(&stalled_instance(), StartMode::Fresh, 0, &JobControl::new())
+            .run(
+                &stalled_instance(),
+                None,
+                StartMode::Fresh,
+                0,
+                &JobControl::new(),
+            )
             .unwrap();
-        let pooled = eng.clone().backend(ExecBackend::Pool { threads: 4 });
-        let (par, p_stats) = pooled
-            .run(&stalled_instance(), StartMode::Fresh, 0, &JobControl::new())
-            .unwrap();
+        let (par, p_stats) = solve_on(
+            &eng,
+            &stalled_instance(),
+            StartMode::Fresh,
+            0,
+            Some(4),
+            &JobControl::new(),
+        )
+        .unwrap();
         assert_eq!(serial.group, par.group);
         assert_eq!(serial.stats.samples_drawn, par.stats.samples_drawn);
         for (a, b) in s_stats.iter().zip(&p_stats) {
@@ -846,11 +835,17 @@ mod tests {
         };
         for dist in [Distribution::Uniform, ce] {
             for allocation in [Allocation::UniformOcba, Allocation::Gaussian] {
-                for backend in [ExecBackend::Serial, ExecBackend::Pool { threads: 3 }] {
-                    let eng = engine(80, 4, 6, dist)
-                        .allocation(allocation)
-                        .backend(backend);
-                    let res = eng.solve(&inst, StartMode::Fresh, 7).unwrap();
+                for threads in [None, Some(3)] {
+                    let eng = engine(80, 4, 6, dist).allocation(allocation);
+                    let (res, _) = solve_on(
+                        &eng,
+                        &inst,
+                        StartMode::Fresh,
+                        7,
+                        threads,
+                        &JobControl::new(),
+                    )
+                    .unwrap();
                     assert_eq!(res.stats.samples_drawn, 80, "{dist:?}/{allocation:?}");
                     assert_eq!(res.group.len(), 5);
                 }
@@ -870,10 +865,15 @@ mod tests {
             .solve(&inst, StartMode::Fresh, 42)
             .unwrap();
         for threads in [1, 2, 4, 8] {
-            let par = engine(120, 4, 8, ce)
-                .backend(ExecBackend::Pool { threads })
-                .solve(&inst, StartMode::Fresh, 42)
-                .unwrap();
+            let (par, _) = solve_on(
+                &engine(120, 4, 8, ce),
+                &inst,
+                StartMode::Fresh,
+                42,
+                Some(threads),
+                &JobControl::new(),
+            )
+            .unwrap();
             assert_eq!(par.group, serial.group, "threads={threads}");
             assert_eq!(par.stats.samples_drawn, serial.stats.samples_drawn);
             assert_eq!(par.stats.backtracks, serial.stats.backtracks);
@@ -886,8 +886,8 @@ mod tests {
 
     #[test]
     fn partial_mode_is_backend_invariant() {
-        // Partial solves are served by the pool too; every backend (and
-        // the session-held pool) must agree bit-for-bit.
+        // Partial solves are served by the pool too; both backends must
+        // agree bit-for-bit at every worker count.
         let inst = random_instance(50, 6, 8);
         let seeds = [NodeId(0), NodeId(1)];
         let ce = Distribution::CrossEntropy {
@@ -899,10 +899,15 @@ mod tests {
             .solve(&inst, StartMode::Partial(&seeds), 2)
             .unwrap();
         for threads in [1, 2, 4] {
-            let b = engine(60, 3, 4, ce)
-                .backend(ExecBackend::Pool { threads })
-                .solve(&inst, StartMode::Partial(&seeds), 2)
-                .unwrap();
+            let (b, _) = solve_on(
+                &engine(60, 3, 4, ce),
+                &inst,
+                StartMode::Partial(&seeds),
+                2,
+                Some(threads),
+                &JobControl::new(),
+            )
+            .unwrap();
             assert_eq!(a.group, b.group, "threads={threads}");
             assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
         }
@@ -912,7 +917,7 @@ mod tests {
     #[test]
     fn session_pool_solves_are_bit_identical_and_reusable() {
         // One SharedPool serving many solves — fresh and partial, across
-        // different instances — must match the per-solve paths exactly.
+        // different instances — must match the serial path exactly.
         let pool = SharedPool::new(3);
         let ce = Distribution::CrossEntropy {
             rho: 0.3,
@@ -921,10 +926,10 @@ mod tests {
         };
         for seed in 0..3u64 {
             let inst = Arc::new(random_instance(60, 5, seed));
-            let eng = engine(80, 4, 6, ce).backend(ExecBackend::Pool { threads: 7 });
+            let eng = engine(80, 4, 6, ce);
             let direct = eng.solve(&inst, StartMode::Fresh, seed).unwrap();
             let pooled = eng
-                .solve_in_pool(&pool, &inst, StartMode::Fresh, seed)
+                .solve_in_pool_controlled(&pool, &inst, StartMode::Fresh, seed, &JobControl::new())
                 .unwrap();
             assert_eq!(direct.group, pooled.group, "seed={seed}");
             assert_eq!(direct.stats.samples_drawn, pooled.stats.samples_drawn);
@@ -932,7 +937,13 @@ mod tests {
             let seeds = [NodeId(0), NodeId(1)];
             let direct = eng.solve(&inst, StartMode::Partial(&seeds), seed).unwrap();
             let pooled = eng
-                .solve_in_pool(&pool, &inst, StartMode::Partial(&seeds), seed)
+                .solve_in_pool_controlled(
+                    &pool,
+                    &inst,
+                    StartMode::Partial(&seeds),
+                    seed,
+                    &JobControl::new(),
+                )
                 .unwrap();
             assert_eq!(direct.group, pooled.group, "partial seed={seed}");
             assert_eq!(direct.stats.backtracks, pooled.stats.backtracks);
@@ -942,13 +953,11 @@ mod tests {
     #[test]
     fn cancel_before_the_first_stage_returns_no_incumbent() {
         let inst = random_instance(40, 4, 1);
-        for backend in [ExecBackend::Serial, ExecBackend::Pool { threads: 2 }] {
-            let eng = engine(200, 4, 3, Distribution::Uniform).backend(backend);
+        for threads in [None, Some(2)] {
+            let eng = engine(200, 4, 3, Distribution::Uniform);
             let control = JobControl::new();
             control.cancel();
-            let err = eng
-                .solve_controlled(&inst, StartMode::Fresh, 0, &control)
-                .unwrap_err();
+            let err = solve_on(&eng, &inst, StartMode::Fresh, 0, threads, &control).unwrap_err();
             assert_eq!(
                 err,
                 SolveError::NoIncumbent {
@@ -983,34 +992,32 @@ mod tests {
         // stopped "before its first completed stage", so the typed
         // NoIncumbent error carries the deadline reason.
         let inst = random_instance(120, 6, 6);
-        for backend in [ExecBackend::Serial, ExecBackend::Pool { threads: 3 }] {
-            let eng = engine(3_000_000, 1, 4, Distribution::Uniform).backend(backend);
+        for threads in [None, Some(3)] {
+            let eng = engine(3_000_000, 1, 4, Distribution::Uniform);
             let control = JobControl::new();
             control.arm_deadline(std::time::Duration::from_millis(40));
             let t0 = Instant::now();
-            let err = eng
-                .solve_controlled(&inst, StartMode::Fresh, 1, &control)
-                .unwrap_err();
+            let err = solve_on(&eng, &inst, StartMode::Fresh, 1, threads, &control).unwrap_err();
             assert!(
                 t0.elapsed() < std::time::Duration::from_secs(5),
-                "{backend:?}: deadline overshoot was not bounded mid-stage"
+                "{threads:?}: deadline overshoot was not bounded mid-stage"
             );
             assert_eq!(
                 err,
                 SolveError::NoIncumbent {
                     reason: Termination::Deadline
                 },
-                "{backend:?}"
+                "{threads:?}"
             );
             // The abandoned stage never merged: no samples were charged.
-            assert_eq!(control.progress().samples_spent, 0, "{backend:?}");
+            assert_eq!(control.progress().samples_spent, 0, "{threads:?}");
         }
-        // Same contract as a job of a SharedPool: the workers abandon the
-        // job's chunks between samples; the pool stays serviceable.
+        // Same contract as a job of a long-lived SharedPool: the workers
+        // abandon the job's chunks between samples; the pool stays
+        // serviceable.
         let pool = SharedPool::new(2);
         let inst = Arc::new(inst);
-        let eng = engine(3_000_000, 1, 4, Distribution::Uniform)
-            .backend(ExecBackend::Pool { threads: 2 });
+        let eng = engine(3_000_000, 1, 4, Distribution::Uniform);
         let control = JobControl::new();
         control.arm_deadline(std::time::Duration::from_millis(40));
         let t0 = Instant::now();
@@ -1028,10 +1035,8 @@ mod tests {
             }
         );
         // The pool keeps serving jobs after the abandoned one.
-        let small =
-            engine(200, 2, 4, Distribution::Uniform).backend(ExecBackend::Pool { threads: 2 });
-        let res = small
-            .solve_in_pool(&pool, &inst, StartMode::Fresh, 2)
+        let res = engine(200, 2, 4, Distribution::Uniform)
+            .solve_in_pool_controlled(&pool, &inst, StartMode::Fresh, 2, &JobControl::new())
             .unwrap();
         assert_eq!(res.stats.samples_drawn, 200);
     }

@@ -44,7 +44,7 @@ use std::thread::JoinHandle;
 
 use waso_graph::NodeId;
 
-use super::{draw_span, take_share, PoolSpares, SolveCtx, Span, StageExec};
+use super::{draw_span, SolveCtx, Span, StageExec};
 use crate::sampler::{Sample, Sampler};
 
 /// How many consecutive instant worker deaths a coordinator tolerates
@@ -67,6 +67,26 @@ pub enum Deal {
     /// Worker `w` draws the contiguous range `[w·c, (w+1)·c)` with
     /// `c = ⌈items/T⌉`.
     Chunked,
+}
+
+/// Buffer spares a job's coordinator keeps between stages.
+#[derive(Default)]
+struct PoolSpares {
+    bufs: Vec<Vec<(usize, Option<Sample>)>>,
+    recycle_containers: Vec<Vec<Vec<NodeId>>>,
+}
+
+/// Splits up to `per_worker` node buffers off `slab` into a recycled
+/// container from `spares`.
+fn take_share(
+    slab: &mut Vec<Vec<NodeId>>,
+    spares: &mut Vec<Vec<Vec<NodeId>>>,
+    per_worker: usize,
+) -> Vec<Vec<NodeId>> {
+    let mut share = spares.pop().unwrap_or_default();
+    let cut = slab.len().saturating_sub(per_worker);
+    share.extend(slab.drain(cut..));
+    share
 }
 
 /// The per-slot deal of one stage: which workers get which [`Span`]s.

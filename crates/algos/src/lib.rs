@@ -9,21 +9,22 @@
 //! | [`sampler`] | §3.1 | random growth of partial solutions (uniform / probability-vector weighted) |
 //! | [`ocba`] | §3.1–3.2 | computational-budget allocation across start nodes, stage derivation |
 //! | [`engine`] | §3–§4, §5.3.1 | **the** staged-sampling loop: allocation × distribution × backend |
-//! | [`exec`] | §5.3.1 | execution backends: serial, per-solve worker pool, the process-wide self-healing [`SharedPool`] |
-//! | [`cbas`] | §3 | `Cbas` — the engine with uniform candidate selection |
+//! | [`exec`] | §5.3.1 | execution backends: serial, and the self-healing worker pool [`SharedPool`] |
+//! | [`staged`] | §3–§4, §5.3.1 | [`StagedSolver`] — the one solver over the engine (CBAS, CBAS-ND, CBAS-ND-G at any thread count) |
+//! | [`cbas`] | §3 | `CbasConfig` — budget, start nodes, stages |
 //! | [`cross_entropy`] | §4.2–4.3 | sparse node-selection probability vectors, elite updates, smoothing |
-//! | [`cbasnd`] | §4 | `CbasNd` — the engine with cross-entropy neighbour differentiation |
+//! | [`cbasnd`] | §4 | `CbasNdConfig` — the cross-entropy neighbour-differentiation knobs |
 //! | [`gaussian`] | Appendix A | Gaussian budget allocation (`CBAS-ND-G`) |
 //! | [`decomp`] | §5.3 scaling | `Decomp` — community-partitioned solves with boundary repair |
 //! | [`online`] | §4.4.1 | replanning after declines, keeping confirmed attendees |
-//! | [`parallel`] | §5.3.1 | `ParallelCbasNd` — the engine on the pooled backend (Fig 5(d)) |
 //! | [`theory`] | §3.2, §4.3 | the approximation-ratio and `P_b` formulas of Theorems 3–5 |
 //!
 //! All solvers implement [`Solver`]: deterministic given `(instance, seed)`,
 //! returning a validated [`waso_core::Group`] plus run statistics. The
-//! staged family (CBAS, CBAS-ND, CBAS-ND-G, parallel) shares one stage
-//! loop — [`engine::StagedEngine`] — whose execution backend, allocation
-//! policy and candidate distribution are orthogonal axes.
+//! staged family (CBAS, CBAS-ND, CBAS-ND-G, at any thread count) is one
+//! solver, [`StagedSolver`], over one stage loop — [`engine::StagedEngine`]
+//! — whose execution backend, allocation policy and candidate distribution
+//! are orthogonal axes.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,11 +40,11 @@ pub mod greedy;
 pub mod job;
 pub mod ocba;
 pub mod online;
-pub mod parallel;
 pub mod registry;
 pub mod rgreedy;
 pub mod sampler;
 pub mod spec;
+pub mod staged;
 pub mod theory;
 
 use std::time::Duration;
@@ -51,20 +52,20 @@ use std::time::Duration;
 use waso_core::{CoreError, Group, WasoInstance};
 use waso_graph::NodeId;
 
-pub use cbas::{Cbas, CbasConfig};
-pub use cbasnd::{CbasNd, CbasNdConfig};
+pub use cbas::CbasConfig;
+pub use cbasnd::CbasNdConfig;
 pub use cross_entropy::ProbabilityVector;
 pub use decomp::Decomp;
 pub use engine::{Distribution, StagedEngine, StartMode};
-pub use exec::{Deal, ExecBackend, PoolStats, SharedPool, SolverPool, WorkerStats};
+pub use exec::{Deal, PoolStats, SharedPool, WorkerStats};
 pub use gaussian::Allocation;
 pub use greedy::DGreedy;
 pub use job::{Incumbent, JobControl, JobProgress, Termination};
 pub use online::OnlinePlanner;
-pub use parallel::ParallelCbasNd;
 pub use registry::{BuildFn, RegistryEntry, SolverRegistry};
 pub use rgreedy::{RGreedy, RGreedyConfig};
-pub use spec::{Capabilities, PoolMode, SolverSpec, SpecError, DEFAULT_BUDGET};
+pub use spec::{Capabilities, SolverSpec, SpecError, DEFAULT_BUDGET};
+pub use staged::StagedSolver;
 
 /// Why a solver could not produce a group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,8 +225,8 @@ impl std::fmt::Display for SolveResult {
 ///
 /// Implementations are deterministic functions of `(instance, seed)` —
 /// rerunning with the same arguments yields the same group. This also makes
-/// the parallel driver bit-identical to the serial one (per-start-node RNG
-/// streams; see [`parallel`]).
+/// a threaded solve bit-identical to the serial one (per-sample RNG
+/// streams; see [`staged`]).
 ///
 /// Beyond the core [`Solver::solve_seeded`], the trait carries the uniform
 /// constraint surface the [`SolverRegistry`] and the `waso::WasoSession`
@@ -282,48 +283,31 @@ pub trait Solver {
     }
 
     /// The worker count this solver would like from a [`SharedPool`], or
-    /// `None` for inherently serial solvers (and for solvers configured
-    /// with [`PoolMode::Private`], which spawn their own workers).
-    /// Sessions use this to decide whether a solve is worth routing
-    /// through (and lazily spawning) their shared pool.
+    /// `None` for serial solvers. Sessions use this to decide whether a
+    /// solve is worth routing through (and lazily spawning) their pool.
     fn pool_threads(&self) -> Option<usize> {
         None
     }
 
-    /// [`Solver::solve_with_required`] as a job of a [`SharedPool`]:
-    /// pooled solvers submit their stages to the already-spawned workers
-    /// instead of spawning their own, amortizing thread creation across
-    /// every job the pool serves — concurrently with other jobs and
-    /// sessions. Results are bit-identical to the non-pooled paths for
-    /// every worker count and tenant mix (per-sample RNG streams,
-    /// index-keyed merge). The default ignores the pool — correct for
-    /// serial solvers.
-    fn solve_pooled(
-        &mut self,
-        instance: &std::sync::Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: &SharedPool,
-    ) -> Result<SolveResult, SolveError> {
-        let _ = pool;
-        self.solve_with_required(instance, required, seed)
-    }
-
     /// The job-handle entry point: solve under a [`JobControl`] that can
     /// cancel the run, bound it with a deadline, and observe its progress
-    /// and incumbents ([`Capabilities::anytime`]).
+    /// and incumbents ([`Capabilities::anytime`]). Threaded solvers run as
+    /// a job of `pool` when one is given — amortizing worker spawns across
+    /// every job the pool serves, concurrently with other jobs and
+    /// sessions — and of a transient pool of their own otherwise.
     ///
     /// The determinism contract extends here: a solve whose control never
-    /// trips is **bit-identical** to [`Solver::solve_with_required`] /
-    /// [`Solver::solve_pooled`] with the same arguments — the control only
-    /// ever decides *how many stages run*, never what a stage computes.
+    /// trips is **bit-identical** to [`Solver::solve_with_required`] with
+    /// the same arguments, with or without a pool, at every pool width —
+    /// the control only ever decides *how many stages run*, never what a
+    /// stage computes.
     ///
-    /// The default is the right behaviour for single-pass solvers (greedy,
-    /// exact): honour a stop request that arrived before work started
-    /// (returning [`SolveError::NoIncumbent`]), run the blocking solve,
-    /// then publish the final result's progress. Staged solvers override
-    /// this to check the control at every stage boundary and stream
-    /// incumbents.
+    /// The default is the right behaviour for single-pass serial solvers
+    /// (greedy, exact): honour a stop request that arrived before work
+    /// started (returning [`SolveError::NoIncumbent`]), run the blocking
+    /// solve, then publish the final result's progress. Staged solvers
+    /// override this to check the control at every stage boundary and
+    /// stream incumbents.
     fn solve_controlled(
         &mut self,
         instance: &std::sync::Arc<WasoInstance>,
@@ -332,13 +316,11 @@ pub trait Solver {
         pool: Option<&SharedPool>,
         control: &JobControl,
     ) -> Result<SolveResult, SolveError> {
+        let _ = pool;
         if let Some(reason) = control.stop_reason() {
             return Err(SolveError::NoIncumbent { reason });
         }
-        let result = match pool {
-            Some(pool) => self.solve_pooled(instance, required, seed, pool),
-            None => self.solve_with_required(instance, required, seed),
-        };
+        let result = self.solve_with_required(instance, required, seed);
         if let Ok(res) = &result {
             control.publish_stage(
                 res.stats.stages,

@@ -11,8 +11,8 @@
 use waso_core::{Group, WasoInstance};
 use waso_graph::{BitSet, DeltaError, GraphDelta, NodeId};
 
-use crate::cbasnd::{CbasNd, CbasNdConfig};
-use crate::{SolveError, SolveResult, Solver};
+use crate::cbasnd::CbasNdConfig;
+use crate::{SolveError, Solver, StagedSolver};
 
 /// Stateful planner for the invite → respond → replan loop.
 ///
@@ -98,7 +98,7 @@ impl OnlinePlanner {
         seed: u64,
     ) -> Result<Self, OnlineError> {
         let n = instance.graph().num_nodes();
-        let mut solver = CbasNd::new(config.clone());
+        let mut solver = StagedSolver::cbas_nd(config.clone());
         let initial = solver.solve_seeded(&instance, seed)?;
         Ok(Self {
             declined: BitSet::new(n),
@@ -190,15 +190,14 @@ impl OnlinePlanner {
 
         let mut config = self.config.clone();
         config.base.blocked = Some(declined.clone());
-        let mut solver = CbasNd::new(config);
         let seed = self.seed.wrapping_add(self.replans + 1);
-
-        let result: Result<SolveResult, SolveError> = if self.confirmed.is_empty() {
-            // Nothing confirmed yet: an ordinary solve with blocking.
-            solver.solve_seeded(&self.instance, seed)
-        } else {
-            solver.solve_with_seeds(&self.instance, &self.confirmed.clone(), seed)
-        };
+        // With nothing confirmed yet this is an ordinary solve with
+        // blocking.
+        let result = StagedSolver::cbas_nd(config).solve_with_required(
+            &self.instance,
+            &self.confirmed,
+            seed,
+        );
         // Commit only on success.
         self.current = result?.group;
         self.declined = declined;
@@ -227,7 +226,7 @@ impl OnlinePlanner {
 
         let mut config = self.config.clone();
         config.base.blocked = Some(self.declined.clone());
-        let mut solver = CbasNd::new(config);
+        let mut solver = StagedSolver::cbas_nd(config);
         // The pre-delta plan is a *hint*: if the delta kept it feasible
         // it becomes the incumbent to beat, otherwise it is dropped (the
         // engine re-validates it against the delta'd instance).
@@ -235,12 +234,7 @@ impl OnlinePlanner {
             solver.warm_start(&incumbent);
         }
         let seed = self.seed.wrapping_add(self.replans + 1);
-
-        let result: Result<SolveResult, SolveError> = if self.confirmed.is_empty() {
-            solver.solve_seeded(&instance, seed)
-        } else {
-            solver.solve_with_seeds(&instance, &self.confirmed.clone(), seed)
-        };
+        let result = solver.solve_with_required(&instance, &self.confirmed, seed);
         // Commit only on success.
         self.current = result?.group;
         self.instance = instance;

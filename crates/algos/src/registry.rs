@@ -13,18 +13,18 @@
 //!   paper's comparison-roster order, and cost warnings.
 //!
 //! [`SolverRegistry::builtin`] registers the `waso-algos` family
-//! (DGreedy, RGreedy, CBAS, CBAS-ND, CBAS-ND-G, parallel CBAS-ND). The
-//! staged entries are all configurations of the one
+//! (DGreedy, RGreedy, CBAS, CBAS-ND, CBAS-ND-G, Decomp). The staged
+//! entries are presets of the one [`crate::StagedSolver`] over the
 //! [`crate::engine::StagedEngine`]; a spec's `threads` knob selects its
-//! pooled execution backend without changing the answer.
+//! pooled execution backend without changing the answer, so the parallel
+//! driver's old names (`cbas-nd-par`, `parallel`) are aliases of
+//! `cbas-nd`.
 //! Downstream crates append their own entries — `waso-exact` registers
 //! the branch-and-bound under `exact`, and the `waso` facade exposes the
 //! fully-populated registry via `waso::registry()`.
 
 use crate::spec::{Capabilities, SolverSpec, SpecError};
-use crate::{
-    Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, ParallelCbasNd, RGreedy, RGreedyConfig, Solver,
-};
+use crate::{CbasConfig, CbasNdConfig, DGreedy, RGreedy, RGreedyConfig, Solver, StagedSolver};
 
 /// Builds a solver from a spec, or explains why the spec is unusable.
 /// Built solvers are `Send` so sessions can run them on job threads
@@ -110,6 +110,7 @@ impl SolverRegistry {
                 randomized: true,
                 parallel: true, // threads=N selects the pooled backend
                 anytime: true,
+                warm_start: true,
                 ..Capabilities::default()
             },
             roster_rank: Some(1),
@@ -133,12 +134,12 @@ impl SolverRegistry {
         });
         r.register(RegistryEntry {
             name: "cbas-nd",
-            aliases: &["cbasnd"],
+            aliases: &["cbasnd", "cbas-nd-par", "parallel"],
             label: "CBAS-ND",
             summary: "CBAS with cross-entropy neighbour differentiation (§4)",
             capabilities: Capabilities {
                 required_attendees: true,
-                parallel: true, // threads=N builds the parallel driver
+                parallel: true, // threads=N selects the pooled backend
                 randomized: true,
                 anytime: true,
                 warm_start: true,
@@ -183,24 +184,6 @@ impl SolverRegistry {
             costly: false,
             options: DECOMP_KEYS,
             build: build_decomp,
-        });
-        r.register(RegistryEntry {
-            name: "cbas-nd-par",
-            aliases: &["parallel"],
-            label: "CBAS-ND (parallel)",
-            summary: "CBAS-ND on a persistent worker pool, bit-identical to serial (§5.3.1)",
-            capabilities: Capabilities {
-                required_attendees: true, // honoured by routing to serial
-                parallel: true,
-                randomized: true,
-                anytime: true,
-                warm_start: true,
-                ..Capabilities::default()
-            },
-            roster_rank: None,
-            costly: false,
-            options: CBASND_KEYS,
-            build: build_parallel,
         });
         r
     }
@@ -292,7 +275,6 @@ const CBAS_KEYS: &[&str] = &[
     "start-nodes",
     "starts",
     "threads",
-    "pool",
     "deadline_ms",
     "deadline_from_submit",
     "patience",
@@ -312,15 +294,20 @@ fn build_rgreedy(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError>
     Ok(Box::new(RGreedy::new(RGreedyConfig::from_spec(spec))))
 }
 
+/// The staged preset `solver` with the spec's worker count, if any.
+fn with_threads(solver: StagedSolver, spec: &SolverSpec) -> Box<dyn Solver + Send> {
+    Box::new(match spec.threads {
+        Some(t) => solver.threads(t),
+        None => solver,
+    })
+}
+
 fn build_cbas(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
     spec.ensure_only("cbas", CBAS_KEYS)?;
-    spec.ensure_pool_has_threads()?;
-    let cfg = CbasConfig::from_spec(spec);
-    let pool = spec.pool.unwrap_or_default();
-    Ok(Box::new(match spec.threads {
-        Some(t) => Cbas::with_threads(cfg, t).pool_mode(pool),
-        None => Cbas::new(cfg),
-    }))
+    Ok(with_threads(
+        StagedSolver::cbas(CbasConfig::from_spec(spec)),
+        spec,
+    ))
 }
 
 const CBASND_KEYS: &[&str] = &[
@@ -329,7 +316,6 @@ const CBASND_KEYS: &[&str] = &[
     "start-nodes",
     "starts",
     "threads",
-    "pool",
     "rho",
     "smoothing",
     "backtrack",
@@ -341,23 +327,19 @@ const CBASND_KEYS: &[&str] = &[
 fn build_cbasnd(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
     spec.ensure_only("cbas-nd", CBASND_KEYS)?;
     spec.ensure_ce_ranges()?;
-    spec.ensure_pool_has_threads()?;
-    let cfg = CbasNdConfig::from_spec(spec);
-    Ok(match spec.threads {
-        Some(t) => Box::new(ParallelCbasNd::new(cfg, t).pool_mode(spec.pool.unwrap_or_default())),
-        None => Box::new(CbasNd::new(cfg)),
-    })
+    Ok(with_threads(
+        StagedSolver::cbas_nd(CbasNdConfig::from_spec(spec)),
+        spec,
+    ))
 }
 
 fn build_cbasnd_g(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
     spec.ensure_only("cbas-nd-g", CBASND_KEYS)?;
     spec.ensure_ce_ranges()?;
-    spec.ensure_pool_has_threads()?;
-    let cfg = CbasNdConfig::from_spec(spec).gaussian();
-    Ok(match spec.threads {
-        Some(t) => Box::new(ParallelCbasNd::new(cfg, t).pool_mode(spec.pool.unwrap_or_default())),
-        None => Box::new(CbasNd::new(cfg)),
-    })
+    Ok(with_threads(
+        StagedSolver::cbas_nd(CbasNdConfig::from_spec(spec).gaussian()),
+        spec,
+    ))
 }
 
 const DECOMP_KEYS: &[&str] = &[
@@ -365,7 +347,6 @@ const DECOMP_KEYS: &[&str] = &[
     "stages",
     "start-nodes",
     "threads",
-    "pool",
     "rho",
     "smoothing",
     "backtrack",
@@ -380,20 +361,6 @@ const DECOMP_KEYS: &[&str] = &[
 fn build_decomp(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
     spec.ensure_only("decomp", DECOMP_KEYS)?;
     Ok(Box::new(crate::Decomp::from_spec(spec)?))
-}
-
-fn build_parallel(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
-    spec.ensure_only("cbas-nd-par", CBASND_KEYS)?;
-    spec.ensure_ce_ranges()?;
-    let threads = spec.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1)
-    });
-    Ok(Box::new(
-        ParallelCbasNd::new(CbasNdConfig::from_spec(spec), threads)
-            .pool_mode(spec.pool.unwrap_or_default()),
-    ))
 }
 
 #[cfg(test)]
@@ -439,6 +406,12 @@ mod tests {
         assert_eq!(spec.algorithm(), "cbas-nd");
         assert_eq!(spec.budget, Some(100));
         assert_eq!(registry.parse("greedy").unwrap().algorithm(), "dgreedy");
+        // The parallel driver's old names are plain cbas-nd: threads= is
+        // the knob, and the answer never depends on it.
+        for alias in ["cbas-nd-par", "parallel"] {
+            let spec = registry.parse(&format!("{alias}:threads=2")).unwrap();
+            assert_eq!(spec.to_string(), "cbas-nd:threads=2");
+        }
     }
 
     #[test]
@@ -504,62 +477,23 @@ mod tests {
     }
 
     #[test]
-    fn pool_knob_selects_private_pools_without_changing_answers() {
+    fn the_retired_pool_knob_is_rejected() {
+        // Every threaded solve runs on a SharedPool; there is no pool mode
+        // left to pick, so `pool=` is an unknown option for every solver.
         let registry = SolverRegistry::builtin();
-        let base = SolverSpec::cbas_nd().budget(80).stages(3).threads(2);
-        let shared = registry.build(&base).unwrap();
-        assert_eq!(shared.pool_threads(), Some(2));
-        let private = registry
-            .build(&base.clone().pool(crate::spec::PoolMode::Private))
-            .unwrap();
-        assert_eq!(
-            private.pool_threads(),
-            None,
-            "private solves skip the shared pool"
-        );
-        let a = registry
-            .build(&base)
-            .unwrap()
-            .solve_seeded(&figure1_instance(), 4)
-            .unwrap();
-        let b = registry
-            .build(&base.clone().pool(crate::spec::PoolMode::Private))
-            .unwrap()
-            .solve_seeded(&figure1_instance(), 4)
-            .unwrap();
-        assert_eq!(a.group, b.group);
-        // Solvers without the knob keep rejecting it.
-        let err = registry
-            .build(&SolverSpec::dgreedy().pool(crate::spec::PoolMode::Private))
-            .err()
-            .unwrap();
-        assert_eq!(
-            err,
-            SpecError::UnsupportedOption {
-                algorithm: "dgreedy",
-                key: "pool"
-            }
-        );
-        // pool= with no threads= would be silently inert — rejected
-        // instead, for every builder that doesn't default its threads.
-        for spec in [
-            SolverSpec::cbas().pool(crate::spec::PoolMode::Private),
-            SolverSpec::cbas_nd().pool(crate::spec::PoolMode::Shared),
-            SolverSpec::cbas_nd_g().pool(crate::spec::PoolMode::Private),
+        for text in [
+            "cbas:threads=2,pool=private",
+            "cbas-nd:threads=2,pool=shared",
+            "cbas-nd-par:pool=private",
+            "dgreedy:pool=private",
+            "decomp:threads=2,pool=private",
         ] {
             assert_eq!(
-                registry.build(&spec).err().unwrap(),
-                SpecError::RequiresOption {
-                    key: "pool",
-                    needs: "threads"
-                },
-                "{spec}"
+                registry.parse(text),
+                Err(SpecError::UnknownOption("pool".into())),
+                "{text}"
             );
         }
-        // cbas-nd-par defaults its thread count, so bare pool= is fine.
-        assert!(registry
-            .build(&SolverSpec::new("cbas-nd-par").pool(crate::spec::PoolMode::Private))
-            .is_ok());
     }
 
     #[test]
@@ -572,7 +506,7 @@ mod tests {
             (SolverSpec::cbas_nd().rho(1.5), "rho"),
             (SolverSpec::cbas_nd_g().rho(-0.2), "rho"),
             (SolverSpec::cbas_nd().smoothing(-0.1), "smoothing"),
-            (SolverSpec::new("cbas-nd-par").smoothing(2.0), "smoothing"),
+            (SolverSpec::cbas_nd().threads(2).smoothing(2.0), "smoothing"),
         ] {
             match registry.build(&spec) {
                 Err(SpecError::OutOfRange { key: k, .. }) => assert_eq!(k, key),

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use waso_algos::{Cbas, CbasConfig, CbasNd, CbasNdConfig, RGreedy, RGreedyConfig, Solver};
+use waso_algos::{CbasConfig, CbasNdConfig, RGreedy, RGreedyConfig, Solver, StagedSolver};
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
 
@@ -32,11 +32,23 @@ fn bench_differentiation_overhead(c: &mut Criterion) {
         let mut cfg = CbasConfig::with_budget(budget);
         cfg.stages = Some(5);
         cfg.num_start_nodes = Some(8);
-        b.iter(|| black_box(Cbas::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| {
+            black_box(
+                StagedSolver::cbas(cfg.clone())
+                    .solve_seeded(&inst, 1)
+                    .unwrap(),
+            )
+        });
     });
     group.bench_function("cbas_nd_weighted", |b| {
         let cfg = base_nd(budget);
-        b.iter(|| black_box(CbasNd::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| {
+            black_box(
+                StagedSolver::cbas_nd(cfg.clone())
+                    .solve_seeded(&inst, 1)
+                    .unwrap(),
+            )
+        });
     });
     group.finish();
 }
@@ -51,7 +63,13 @@ fn bench_smoothing_extremes(c: &mut Criterion) {
         let mut cfg = base_nd(300);
         cfg.smoothing = w;
         group.bench_function(name, |b| {
-            b.iter(|| black_box(CbasNd::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+            b.iter(|| {
+                black_box(
+                    StagedSolver::cbas_nd(cfg.clone())
+                        .solve_seeded(&inst, 1)
+                        .unwrap(),
+                )
+            });
         });
     }
     group.finish();
@@ -65,11 +83,23 @@ fn bench_backtracking(c: &mut Criterion) {
     group.sample_size(15);
     group.bench_function("off", |b| {
         let cfg = base_nd(300);
-        b.iter(|| black_box(CbasNd::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| {
+            black_box(
+                StagedSolver::cbas_nd(cfg.clone())
+                    .solve_seeded(&inst, 1)
+                    .unwrap(),
+            )
+        });
     });
     group.bench_function("on", |b| {
         let cfg = base_nd(300).with_backtracking(1e-4);
-        b.iter(|| black_box(CbasNd::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| {
+            black_box(
+                StagedSolver::cbas_nd(cfg.clone())
+                    .solve_seeded(&inst, 1)
+                    .unwrap(),
+            )
+        });
     });
     group.finish();
 }

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use waso_algos::{CbasNd, CbasNdConfig, Solver};
+use waso_algos::{CbasNdConfig, Solver, StagedSolver};
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
 use waso_exact::enumerate::count_connected_k_subgraphs;
@@ -47,7 +47,10 @@ fn bench_branch_bound(c: &mut Criterion) {
         // warm-starting prunes.
         let mut cfg = CbasNdConfig::with_budget(100);
         cfg.base.stages = Some(3);
-        let incumbent = CbasNd::new(cfg).solve_seeded(&inst, 1).unwrap().group;
+        let incumbent = StagedSolver::cbas_nd(cfg)
+            .solve_seeded(&inst, 1)
+            .unwrap()
+            .group;
         group.bench_with_input(
             BenchmarkId::new("primed", format!("n{n}_k{k}")),
             &inst,

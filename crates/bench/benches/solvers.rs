@@ -4,9 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use waso_algos::{
-    Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, ParallelCbasNd, RGreedy, RGreedyConfig, Solver,
-};
+use waso_algos::{CbasConfig, CbasNdConfig, DGreedy, RGreedy, RGreedyConfig, Solver, StagedSolver};
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
 
@@ -33,15 +31,27 @@ fn bench_solvers(c: &mut Criterion) {
         b.iter(|| black_box(DGreedy::new().solve_seeded(&inst, 1).unwrap()));
     });
     group.bench_function("cbas", |b| {
-        b.iter(|| black_box(Cbas::new(cb_cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| {
+            black_box(
+                StagedSolver::cbas(cb_cfg.clone())
+                    .solve_seeded(&inst, 1)
+                    .unwrap(),
+            )
+        });
     });
     group.bench_function("cbas_nd", |b| {
-        b.iter(|| black_box(CbasNd::new(nd_cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| {
+            black_box(
+                StagedSolver::cbas_nd(nd_cfg.clone())
+                    .solve_seeded(&inst, 1)
+                    .unwrap(),
+            )
+        });
     });
     group.bench_function("cbas_nd_gaussian", |b| {
         b.iter(|| {
             black_box(
-                CbasNd::new(nd_cfg.clone().gaussian())
+                StagedSolver::cbas_nd(nd_cfg.clone().gaussian())
                     .solve_seeded(&inst, 1)
                     .unwrap(),
             )
@@ -66,7 +76,8 @@ fn bench_parallel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             b.iter(|| {
                 black_box(
-                    ParallelCbasNd::new(nd_cfg.clone(), t)
+                    StagedSolver::cbas_nd(nd_cfg.clone())
+                        .threads(t)
                         .solve_seeded(&inst, 1)
                         .unwrap(),
                 )

@@ -14,8 +14,8 @@
 //! identical 20-stage pooled solves run (a) the per-solve-spawn way —
 //! build the solver, clone the instance, spawn a fresh worker pool for
 //! every job — and (b) through one `WasoSession::solve_batch`, where the
-//! instance is validated once and every job borrows the session-held
-//! [`waso_algos::SolverPool`]. The samples/sec gap between the two rows
+//! instance is validated once and every job runs on the session's
+//! [`waso_algos::SharedPool`]. The samples/sec gap between the two rows
 //! is the amortization the session pool buys.
 //!
 //! Results are returned both as a markdown/CSV [`TableSet`] (like every
@@ -26,7 +26,7 @@
 //! not scaling) — regenerate it with
 //! `waso-experiments --figure engine --scale smoke`.
 
-use waso::algos::{PoolMode, PoolStats, SharedPool};
+use waso::algos::{PoolStats, SharedPool};
 use waso::{SolverSpec, WasoSession};
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
@@ -226,21 +226,18 @@ pub fn handle_table(records: &[BenchRecord]) -> Table {
     t
 }
 
-/// The `--figure engine` warm-vs-cold comparison: solve once, apply a
+/// The `--figure engine` post-delta re-solve pair: solve once, apply a
 /// [`waso::graph::GraphDelta`] that touches the winning group (so the
-/// memo entry is invalidated and its group stashed as an incumbent),
-/// then time three re-solve paths on the identical delta'd instance:
+/// session drops its memo entry), then time two solves of the identical
+/// delta'd instance:
 ///
-/// * **cold start** — a fresh session, no memo, no incumbent (the
-///   pre-delta-layer behaviour: every replan pays full price);
-/// * **warm start** — the session's next solve, seeded with the
-///   invalidated entry's group as the incumbent to beat;
+/// * **cold start** — the session's next solve, which runs the solver in
+///   full (the memo is keyed by the exact graph, so nothing carries over);
 /// * **memo hit** — the solve after that, answered from the memo in
 ///   O(1) without running a solver.
 ///
-/// Warm-start quality is ≥ cold by construction (the incumbent only
-/// tightens the best-so-far); the rows pin both that and the wall-clock
-/// ladder in the committed `BENCH_engine.json`.
+/// The memo hit replays the cold solve bit-identically; the rows pin
+/// that and the wall-clock gap in the committed `BENCH_engine.json`.
 pub fn memo_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     use std::time::Instant;
     use waso::graph::GraphDelta;
@@ -254,7 +251,7 @@ pub fn memo_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
         .start_nodes(ctx.harness_m(n));
     let workload = format!("facebook-like/n={n}/k={k}/delta-resolve");
 
-    let mut session = WasoSession::new(graph.clone()).k(k).seed(ctx.seed);
+    let mut session = WasoSession::new(graph).k(k).seed(ctx.seed);
     let first = session.solve(&spec).expect("harness workload is feasible");
     let delta = GraphDelta::SetInterest {
         v: first.group.nodes()[0],
@@ -265,61 +262,43 @@ pub fn memo_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
         .expect("delta endpoint is a solved node");
 
     let t0 = Instant::now();
-    let warm = session.solve(&spec).expect("delta'd workload is feasible");
-    let warm_s = t0.elapsed().as_secs_f64();
-
-    let cold_session = WasoSession::new(delta.apply(&graph).expect("same delta, same graph"))
-        .k(k)
-        .seed(ctx.seed);
-    let t0 = Instant::now();
-    let cold = cold_session
-        .solve(&spec)
-        .expect("delta'd workload is feasible");
+    let cold = session.solve(&spec).expect("delta'd workload is feasible");
     let cold_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
     let hit = session.solve(&spec).expect("memo hit replays the result");
     let hit_s = t0.elapsed().as_secs_f64();
 
-    [
-        ("cold start", cold, cold_s),
-        ("warm start", warm, warm_s),
-        ("memo hit", hit, hit_s),
-    ]
-    .into_iter()
-    .map(|(mode, result, seconds)| BenchRecord {
-        workload: workload.clone(),
-        solver: format!("{spec} ({mode})"),
-        threads: 0,
-        mean_quality: Some(result.group.willingness()),
-        wall_seconds: seconds,
-        samples_per_sec: if seconds > 0.0 && result.stats.samples_drawn > 0 {
-            result.stats.samples_drawn as f64 / seconds
-        } else {
-            0.0
-        },
-    })
-    .collect()
+    [("cold start", cold, cold_s), ("memo hit", hit, hit_s)]
+        .into_iter()
+        .map(|(mode, result, seconds)| BenchRecord {
+            workload: workload.clone(),
+            solver: format!("{spec} ({mode})"),
+            threads: 0,
+            mean_quality: Some(result.group.willingness()),
+            wall_seconds: seconds,
+            samples_per_sec: if seconds > 0.0 && result.stats.samples_drawn > 0 {
+                result.stats.samples_drawn as f64 / seconds
+            } else {
+                0.0
+            },
+        })
+        .collect()
 }
 
-/// Renders the warm-vs-cold records as a mode-keyed table.
+/// Renders the post-delta re-solve records as a mode-keyed table.
 pub fn memo_table(records: &[BenchRecord]) -> Table {
     let title = records
         .first()
-        .map(|r| {
-            format!(
-                "post-delta re-solve: cold vs warm vs memo hit ({})",
-                r.workload
-            )
-        })
-        .unwrap_or_else(|| "post-delta re-solve: cold vs warm vs memo hit".to_string());
+        .map(|r| format!("post-delta re-solve: cold vs memo hit ({})", r.workload))
+        .unwrap_or_else(|| "post-delta re-solve: cold vs memo hit".to_string());
     let mut t = Table::new(
         "engine-memo",
         title,
         &["mode", "wall s", "samples/s", "mean quality"],
     );
     for r in records {
-        let mode = ["cold start", "warm start", "memo hit"]
+        let mode = ["cold start", "memo hit"]
             .into_iter()
             .find(|m| r.solver.ends_with(&format!("({m})")))
             .unwrap_or("?");
@@ -334,13 +313,12 @@ pub fn memo_table(records: &[BenchRecord]) -> Table {
 }
 
 /// The `--figure pool` comparison: the same `BATCH_SOLVES`-job workload
-/// run (a) with `pool=private` — every job spawns and tears down its own
-/// worker pool, the pre-SharedPool behaviour; (b) sequentially over one
-/// shared pool — amortized spawns, one job at a time; (c) as one
-/// concurrent `solve_batch` over the shared pool — the job-level
-/// scheduler keeping every worker busy across jobs. Three records whose
-/// `samples_per_sec` column is the private → shared → concurrent ladder;
-/// quality is identical across all three by the determinism contract.
+/// run (a) sequentially over one session pool — amortized spawns, one job
+/// at a time; (b) as one concurrent `solve_batch` over the same kind of
+/// pool — the job-level scheduler keeping every worker busy across jobs.
+/// Two records whose `samples_per_sec` column is the shared → concurrent
+/// step; quality is identical across both by the determinism contract.
+/// (The per-solve-spawn baseline is the `engine-batch` table's.)
 pub fn pool_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     let k = 10;
     let graph = synthetic::facebook_like(ctx.scale, ctx.seed);
@@ -352,18 +330,10 @@ pub fn pool_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
         .threads(BATCH_THREADS);
     let workload = format!("facebook-like/n={n}/k={k}/batch={BATCH_SOLVES}x{BATCH_STAGES}-stage");
 
-    let private_specs = vec![spec.clone().pool(PoolMode::Private); BATCH_SOLVES];
     let shared_specs = vec![spec.clone(); BATCH_SOLVES];
     // A fresh session per mode: no warm pool or cached instance leaks
     // from one row into the next.
     let rows = [
-        (
-            "private pool",
-            measure_session_each(
-                &WasoSession::new(graph.clone()).k(k).seed(ctx.seed),
-                &private_specs,
-            ),
-        ),
         (
             "shared pool",
             measure_session_each(
@@ -392,20 +362,15 @@ pub fn pool_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
 pub fn pool_table(records: &[BenchRecord]) -> Table {
     let title = records
         .first()
-        .map(|r| {
-            format!(
-                "private vs shared vs concurrent-batch pool ({})",
-                r.workload
-            )
-        })
-        .unwrap_or_else(|| "private vs shared vs concurrent-batch pool".to_string());
+        .map(|r| format!("sequential vs concurrent-batch pool ({})", r.workload))
+        .unwrap_or_else(|| "sequential vs concurrent-batch pool".to_string());
     let mut t = Table::new(
         "engine-pool",
         title,
         &["mode", "wall s/solve", "samples/s", "mean quality"],
     );
     for r in records {
-        let mode = ["private pool", "shared pool", "concurrent batch"]
+        let mode = ["shared pool", "concurrent batch"]
             .into_iter()
             .find(|m| r.solver.ends_with(&format!("({m})")))
             .unwrap_or("?");
@@ -478,8 +443,7 @@ pub fn pool_health_table(stats: &PoolStats) -> Table {
 }
 
 /// Tables-only entry point for the `pool` figure id: the
-/// private/shared/concurrent throughput ladder plus the pool health
-/// snapshot.
+/// sequential/concurrent throughput pair plus the pool health snapshot.
 pub fn pool_comparison(ctx: &ExperimentContext) -> TableSet {
     let mut set = TableSet::new();
     set.push(pool_table(&pool_records(ctx)));
@@ -554,7 +518,7 @@ pub fn throughput(ctx: &ExperimentContext) -> TableSet {
 }
 
 /// Measures once, returning the tables and the machine-readable records
-/// (backend sweep + batch + pool-mode + handle + warm-vs-cold rows) — the
+/// (backend sweep + batch + pool + handle + post-delta re-solve rows) — the
 /// `waso-experiments --figure engine` / `--figure pool` path. The binary
 /// folds these records, together with any other record-emitting figures
 /// run in the same invocation (`--figure decomp`), into one
@@ -623,16 +587,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_records_cover_all_three_modes_with_identical_quality() {
+    fn pool_records_cover_both_modes_with_identical_quality() {
         let mut ctx = ExperimentContext::new(Scale::Smoke);
         ctx.repeats = 1;
         let records = pool_records(&ctx);
-        assert_eq!(records.len(), 3);
-        for (r, mode) in
-            records
-                .iter()
-                .zip(["(private pool)", "(shared pool)", "(concurrent batch)"])
-        {
+        assert_eq!(records.len(), 2);
+        for (r, mode) in records.iter().zip(["(shared pool)", "(concurrent batch)"]) {
             assert!(r.solver.ends_with(mode), "{}", r.solver);
             assert!(r.samples_per_sec > 0.0, "{}: no throughput", r.solver);
             assert!(r.workload.contains("batch="));
@@ -640,9 +600,8 @@ mod tests {
         // The determinism contract at bench level: every mode solves the
         // identical workload, so mean quality matches exactly.
         assert_eq!(records[0].mean_quality, records[1].mean_quality);
-        assert_eq!(records[1].mean_quality, records[2].mean_quality);
         let table = pool_table(&records);
-        assert_eq!(table.rows.len(), 3);
+        assert_eq!(table.rows.len(), 2);
     }
 
     #[test]
@@ -668,22 +627,18 @@ mod tests {
         let mut ctx = ExperimentContext::new(Scale::Smoke);
         ctx.repeats = 1;
         let records = memo_records(&ctx);
-        assert_eq!(records.len(), 3);
+        assert_eq!(records.len(), 2);
         assert!(records[0].solver.ends_with("(cold start)"));
-        assert!(records[1].solver.ends_with("(warm start)"));
-        assert!(records[2].solver.ends_with("(memo hit)"));
+        assert!(records[1].solver.ends_with("(memo hit)"));
         for r in &records {
             assert!(r.samples_per_sec > 0.0, "{}: no throughput", r.solver);
             assert!(r.mean_quality.is_some(), "{}: infeasible", r.solver);
             assert!(r.workload.contains("delta-resolve"));
         }
-        // Warm-starting only tightens the incumbent: quality on the
-        // identical delta'd instance is >= the cold solve's.
-        assert!(records[1].mean_quality >= records[0].mean_quality);
-        // The memo hit replays the warm solve bit-identically.
-        assert_eq!(records[2].mean_quality, records[1].mean_quality);
+        // The memo hit replays the post-delta solve bit-identically.
+        assert_eq!(records[1].mean_quality, records[0].mean_quality);
         let table = memo_table(&records);
-        assert_eq!(table.rows.len(), 3);
+        assert_eq!(table.rows.len(), 2);
     }
 
     #[test]

@@ -198,6 +198,9 @@ pub fn parallel_speedup(ctx: &ExperimentContext) -> TableSet {
         let inst = WasoInstance::new(g.clone(), k).expect("k <= n");
         let mut secs = Vec::new();
         for &t in &threads {
+            // A one-shot solve: it spawns a transient SharedPool of `t`
+            // workers, so the timing includes that spawn and one
+            // instance clone.
             let spec = cbasnd_spec(budget, m).threads(t);
             let meas = measure_spec(&registry, &spec, &inst, ctx.seed);
             secs.push(meas.seconds);

@@ -325,14 +325,14 @@ mod tests {
     fn manual_quality_trails_a_thorough_search() {
         // The §5.2 headline: manual ≈ 66% of CBAS-ND. We check the
         // direction (manual ≤ solver) and a substantial average gap.
-        use waso_algos::{CbasNd, CbasNdConfig, Solver};
+        use waso_algos::{CbasNdConfig, Solver, StagedSolver};
         let inst = small_instance(4);
         let planner = ManualPlanner::new();
         let trials = 12;
         let mut algo_sum = 0.0;
         let mut manual_sum = 0.0;
         for seed in 0..trials {
-            let mut solver = CbasNd::new(CbasNdConfig::fast());
+            let mut solver = StagedSolver::cbas_nd(CbasNdConfig::fast());
             algo_sum += solver
                 .solve_seeded(&inst, seed)
                 .unwrap()

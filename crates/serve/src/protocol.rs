@@ -283,7 +283,7 @@ pub struct StatsReply {
     pub memo_hits: u64,
     /// Cacheable solves that had to run.
     pub memo_misses: u64,
-    /// Memo entries invalidated by graph deltas.
+    /// Memo entries dropped by graph deltas (`WasoSession::apply`).
     pub memo_invalidated: u64,
 }
 

@@ -9,12 +9,11 @@
 //! networks, and a harness regenerating every figure of its §5.
 //!
 //! The whole staged family (CBAS, CBAS-ND, CBAS-ND-G, the §5.3.1
-//! parallel runs) executes through **one** stage loop —
-//! [`waso_algos::engine::StagedEngine`] — whose budget-allocation policy,
-//! candidate distribution and execution backend (serial, a per-solve
-//! worker pool, or a job of the process-wide self-healing
-//! [`waso_algos::SharedPool`] that any number of sessions share) are
-//! orthogonal axes. Every solver is a pure function of
+//! parallel runs) is **one** solver, [`waso_algos::StagedSolver`], over
+//! one stage loop — [`waso_algos::engine::StagedEngine`] — whose
+//! budget-allocation policy, candidate distribution and execution backend
+//! (serial, or a job of a self-healing [`waso_algos::SharedPool`] that any
+//! number of sessions share) are orthogonal axes. Every solver is a pure function of
 //! `(instance, seed)`, bit-identical across thread counts, deals,
 //! concurrent batches and even worker panics; see the Architecture
 //! section of the README.
@@ -81,7 +80,7 @@
 //! |---|---|
 //! | [`graph`] | CSR social graphs, builders, generators, traversal, I/O |
 //! | [`core`] | WASO instances, the willingness objective, groups, scenarios |
-//! | [`algos`] | the `StagedEngine` + DGreedy, RGreedy, CBAS, CBAS-ND(-G), online replanning, parallel, [`SolverSpec`]/[`SolverRegistry`] |
+//! | [`algos`] | the `StagedEngine` and its one solver `StagedSolver` (CBAS, CBAS-ND(-G), any thread count), DGreedy, RGreedy, online replanning, [`SolverSpec`]/[`SolverRegistry`] |
 //! | [`exact`] | ESU enumeration, branch-and-bound, the Appendix-B IP model |
 //! | [`datasets`] | Facebook/DBLP/Flickr-like synthetics, simulated user study |
 //! | [`stats`] | numerics: normal distribution, power laws, quantiles, quadrature |
@@ -102,10 +101,9 @@ pub use waso_algos::{SolverRegistry, SolverSpec};
 pub mod prelude {
     pub use crate::session::{registry, MemoStats, SessionError, SolveHandle, WasoSession};
     pub use waso_algos::{
-        Capabilities, Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, Deal, Incumbent, JobControl,
-        JobProgress, OnlinePlanner, ParallelCbasNd, PoolMode, PoolStats, RGreedy, RGreedyConfig,
-        SharedPool, SolveError, SolveResult, Solver, SolverRegistry, SolverSpec, SpecError,
-        Termination,
+        Capabilities, CbasConfig, CbasNdConfig, DGreedy, Deal, Incumbent, JobControl, JobProgress,
+        OnlinePlanner, PoolStats, RGreedy, RGreedyConfig, SharedPool, SolveError, SolveResult,
+        Solver, SolverRegistry, SolverSpec, SpecError, StagedSolver, Termination,
     };
     pub use waso_core::{scenario, willingness, Group, WasoInstance};
     pub use waso_graph::{GraphBuilder, NodeId, SocialGraph};

@@ -8,18 +8,26 @@
 //! through the [`SolverRegistry`], so a session works identically for
 //! every registered algorithm, including ones registered after the fact.
 //!
-//! Under the hood the staged specs (`cbas`, `cbas-nd`, `cbas-nd-g`,
-//! `cbas-nd-par`, and any `threads=N` variant) all resolve to the single
-//! `waso_algos::engine::StagedEngine`; a spec's `threads` knob selects
-//! the engine's pooled execution backend without changing the answer —
-//! solves are bit-identical for every thread count, so the session's
-//! reproducibility guarantee (same `(instance, spec, seed)` → same group)
-//! holds regardless of parallelism.
+//! Under the hood the staged specs (`cbas`, `cbas-nd`, `cbas-nd-g`, and
+//! any `threads=N` variant) all build the one `waso_algos::StagedSolver`
+//! over the `waso_algos::engine::StagedEngine`; a spec's `threads` knob
+//! selects the engine's pooled execution backend without changing the
+//! answer — solves are bit-identical for every thread count, so the
+//! session's reproducibility guarantee (same `(instance, spec, seed)` →
+//! same group) holds regardless of parallelism.
 //!
 //! Pooled solves share one [`SharedPool`]: worker threads are spawned on
 //! first use (or attached via [`WasoSession::attach_pool`], in which case
 //! any number of sessions share one process-wide pool) and reused by
 //! every later solve; the validated instance is cloned once and shared.
+//!
+//! Completed solves are memoized under their **exact** inputs — the
+//! instance fingerprint, the canonical spec, the merged required set and
+//! the seed — so a repeat solve is answered in O(1) with the original
+//! result. [`WasoSession::apply`] edits the graph in place and drops every
+//! entry of the pre-delta graph: a session's answer depends only on the
+//! current graph, the spec and the seed, never on its history. The memo
+//! holds at most a fixed number of entries, evicting the oldest first.
 //! For many solves in one go, [`WasoSession::solve_batch`] /
 //! [`WasoSession::solve_many`] run a slice of spec jobs **concurrently**
 //! over that shared state with per-job error reporting — bit-identical
@@ -77,7 +85,7 @@ use waso_algos::{
     Incumbent, JobControl, JobProgress, SharedPool, SolveError, SolveResult, Solver,
     SolverRegistry, SolverSpec, SpecError, Termination,
 };
-use waso_core::{CoreError, Group, InstanceFingerprint, WasoInstance};
+use waso_core::{CoreError, InstanceFingerprint, WasoInstance};
 use waso_graph::{DeltaError, GraphDelta, NodeId, SocialGraph};
 
 /// The session's default seed — solves are reproducible out of the box,
@@ -167,9 +175,8 @@ pub struct MemoStats {
     /// populated the memo). Wall-clock-bounded specs (`deadline_ms=`,
     /// `deadline_from_submit=`) bypass the memo and count as neither.
     pub misses: u64,
-    /// Cached entries dropped by [`WasoSession::apply`] because a delta
-    /// touched their group or its one-hop frontier. Each stashes its
-    /// group as a warm-start incumbent for the next matching solve.
+    /// Cached entries dropped by [`WasoSession::apply`]: every entry of
+    /// the pre-delta graph goes, since none of them keys the new graph.
     pub invalidated: u64,
 }
 
@@ -184,44 +191,48 @@ struct MemoKey {
     seed: u64,
 }
 
-/// Warm-start key: a [`MemoKey`] minus the fingerprint — the incumbent
-/// of an invalidated entry applies to the *post-delta* instance,
-/// whatever its digest.
-type WarmKey = (String, Vec<u32>, u64);
+/// How many results a session's memo holds. A long-lived session (one
+/// `waso-serve` process) sees an unbounded stream of distinct keys, so the
+/// memo evicts its oldest entry beyond this many.
+const MEMO_CAPACITY: usize = 4096;
 
-/// One cached solve.
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    result: SolveResult,
-    /// The group's members plus their one-hop frontier, sorted. A delta
-    /// whose endpoints avoid this set cannot change the group's
-    /// willingness or feasibility, so the entry survives it.
-    touch: Vec<u32>,
-}
-
-/// The session's solve memo: completed results keyed by
-/// ([`InstanceFingerprint`], spec, constraints, seed), plus the
-/// warm-start incumbents of delta-invalidated entries. Shared (`Arc`)
-/// with job coordinators so finished solves insert their results.
+/// The session's solve memo: completed results keyed exactly by
+/// ([`InstanceFingerprint`], spec, constraints, seed), with their
+/// insertion order for oldest-first eviction. Shared (`Arc`) with job
+/// coordinators so finished solves insert their results.
 #[derive(Debug, Default)]
 struct SolveMemo {
-    entries: BTreeMap<MemoKey, MemoEntry>,
-    warm: BTreeMap<WarmKey, Vec<NodeId>>,
+    entries: BTreeMap<MemoKey, SolveResult>,
+    /// Keys in insertion order, oldest first; always the key set of
+    /// `entries`.
+    order: VecDeque<MemoKey>,
     stats: MemoStats,
 }
 
-/// The sorted touch set of a cached result: the group's members plus
-/// their one-hop neighbourhood in the *solved* (λ-applied) graph.
-fn touch_set(instance: &WasoInstance, nodes: &[NodeId]) -> Vec<u32> {
-    let g = instance.graph();
-    let mut touch: Vec<u32> = Vec::new();
-    for &v in nodes {
-        touch.push(v.0);
-        touch.extend(g.neighbors(v).iter().copied());
+impl SolveMemo {
+    /// Caches `result` under `key`, evicting the oldest entry when the
+    /// memo is full. Two racing misses of one key insert the same bits;
+    /// the second insert just replaces the first.
+    fn insert(&mut self, key: MemoKey, result: SolveResult) {
+        if self.entries.insert(key.clone(), result).is_some() {
+            return;
+        }
+        self.order.push_back(key);
+        if self.order.len() > MEMO_CAPACITY {
+            if let Some(oldest) = self.order.pop_front() {
+                self.entries.remove(&oldest);
+            }
+        }
     }
-    touch.sort_unstable();
-    touch.dedup();
-    touch
+
+    /// Drops every entry keyed by fingerprint `digest`, counting them as
+    /// invalidated.
+    fn drop_generation(&mut self, digest: u64) {
+        let before = self.entries.len();
+        self.entries.retain(|key, _| key.digest != digest);
+        self.order.retain(|key| key.digest != digest);
+        self.stats.invalidated += (before - self.entries.len()) as u64;
+    }
 }
 
 /// A configured solving context: graph + constraints + seed policy +
@@ -615,7 +626,7 @@ impl WasoSession {
         let memo_key = self.memo_key(instance, spec, &required);
         if let Some(key) = &memo_key {
             let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(result) = memo.entries.get(key).map(|e| e.result.clone()) {
+            if let Some(result) = memo.entries.get(key).cloned() {
                 memo.stats.hits += 1;
                 drop(memo);
                 return Ok((None, SolveHandle::cached(result)));
@@ -623,26 +634,7 @@ impl WasoSession {
             memo.stats.misses += 1;
         }
 
-        let mut solver = self.registry.build(spec)?;
-        // Warm start: if a delta invalidated a cached entry for exactly
-        // this (spec, constraints, seed), its old group seeds the solver
-        // as the incumbent to beat (consumed once; solvers without
-        // warm-start support ignore it). The incumbent is re-validated
-        // against the *current* instance — a group the delta made
-        // infeasible is dropped, it was only ever a hint.
-        if let Some(key) = &memo_key {
-            let stashed = self
-                .memo
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .warm
-                .remove(&(key.spec.clone(), key.required.clone(), key.seed));
-            if let Some(nodes) = stashed {
-                if let Ok(group) = Group::new(instance, nodes) {
-                    solver.warm_start(&group);
-                }
-            }
-        }
+        let solver = self.registry.build(spec)?;
         // Pooled solve: run as a job of the session pool (attached, or
         // spawned on first use), so worker threads outlive — and are
         // shared by — every pooled solve, of this session and of any
@@ -713,8 +705,8 @@ impl WasoSession {
         })
     }
 
-    /// A snapshot of the session's memo counters (hits, misses,
-    /// delta invalidations).
+    /// A snapshot of the session's memo counters (hits, misses, entries
+    /// dropped by [`WasoSession::apply`]).
     pub fn memo_stats(&self) -> MemoStats {
         self.memo
             .lock()
@@ -724,22 +716,22 @@ impl WasoSession {
 
     /// Applies a [`GraphDelta`] to the session's graph **in place**:
     /// re-fingerprints incrementally (only the delta's endpoints are
-    /// re-hashed), and sweeps the memo — entries whose group or one-hop
-    /// frontier touches the delta are invalidated (their groups stashed
-    /// as warm-start incumbents for the next matching solve), every
-    /// other entry survives, re-keyed to the new fingerprint.
+    /// re-hashed) and drops every memo entry of the pre-delta graph. A
+    /// solve after the delta is therefore exactly a fresh session's solve
+    /// of the post-delta graph: no cached result, incumbent or other
+    /// state carries over.
     ///
     /// The delta is validated first and a rejected delta
     /// ([`SessionError::Delta`]) changes nothing. Node count and
-    /// identity never change: a cached group means the same attendees
-    /// before and after any number of deltas.
+    /// identity never change, so session-level required attendees carry
+    /// over verbatim.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<(), SessionError> {
         let new_graph = delta.apply(&self.graph)?;
 
         // The pre-delta fingerprint, cached or recomputed — the memo
-        // generation to sweep. Unavailable only when the session cannot
+        // generation to drop. Unavailable only when the session cannot
         // build an instance at all (`k` unset, bad λ): then no solve has
-        // run under this configuration and there is nothing to sweep.
+        // run under this configuration and there is nothing to drop.
         let old_fp = match self
             .fingerprint_cache
             .get_mut()
@@ -754,7 +746,10 @@ impl WasoSession {
         self.invalidate_instance();
 
         let Some(old_fp) = old_fp else { return Ok(()) };
-        let old_digest = old_fp.digest();
+        self.memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drop_generation(old_fp.digest());
 
         // Incremental re-fingerprint: the λ transform and the node hash
         // are both node-local, so only the delta's endpoints re-hash —
@@ -764,44 +759,10 @@ impl WasoSession {
         for v in delta.touched() {
             new_fp.update_node(&instance, v);
         }
-        let new_digest = new_fp.digest();
         *self
             .fingerprint_cache
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner) = Some(new_fp);
-
-        // Memo sweep over the pre-delta generation. Entries under other
-        // digests (older configurations) are left alone: their keys can
-        // only match again if the configuration reverts *and* the graph
-        // fingerprints back to that exact state.
-        let touched: Vec<u32> = delta.touched().iter().map(|v| v.0).collect();
-        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        let keys: Vec<MemoKey> = memo
-            .entries
-            .keys()
-            .filter(|k| k.digest == old_digest)
-            .cloned()
-            .collect();
-        for key in keys {
-            let Some(entry) = memo.entries.remove(&key) else {
-                continue;
-            };
-            if touched.iter().any(|t| entry.touch.binary_search(t).is_ok()) {
-                memo.stats.invalidated += 1;
-                memo.warm.insert(
-                    (key.spec, key.required, key.seed),
-                    entry.result.group.nodes().to_vec(),
-                );
-            } else {
-                memo.entries.insert(
-                    MemoKey {
-                        digest: new_digest,
-                        ..key
-                    },
-                    entry,
-                );
-            }
-        }
         Ok(())
     }
 
@@ -859,8 +820,7 @@ struct JobTask {
     control: Arc<JobControl>,
     result_tx: Sender<Result<SolveResult, SessionError>>,
     /// Memo insertion slot: when present, a cleanly-completed result is
-    /// cached under `key`, with its touch set computed over the solved
-    /// instance.
+    /// cached under `key`.
     memo: Option<(Arc<Mutex<SolveMemo>>, MemoKey)>,
 }
 
@@ -892,15 +852,9 @@ impl JobTask {
         // uninterrupted solve would break the bit-identity contract.
         if let (Some((memo, key)), Ok(result)) = (&self.memo, &outcome) {
             if result.stats.termination == Termination::Completed {
-                let touch = touch_set(&self.instance, result.group.nodes());
-                let entry = MemoEntry {
-                    result: result.clone(),
-                    touch,
-                };
                 memo.lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .entries
-                    .insert(key.clone(), entry);
+                    .insert(key.clone(), result.clone());
             }
         }
         // Release the job's resources — above all its pool Arc — BEFORE
@@ -1169,6 +1123,47 @@ mod tests {
             let res = session.solve_str(spec).unwrap();
             assert_eq!(res.group.len(), 3, "{spec}");
         }
+    }
+
+    #[test]
+    fn memo_is_capped_and_evicts_the_oldest_entry_first() {
+        let result = WasoSession::new(path4()).k(3).solve_str("dgreedy").unwrap();
+        let key = |i: usize| MemoKey {
+            digest: 7,
+            spec: format!("cbas-nd:budget={i}"),
+            required: Vec::new(),
+            seed: 42,
+        };
+        let mut memo = SolveMemo::default();
+        for i in 0..MEMO_CAPACITY {
+            memo.insert(key(i), result.clone());
+        }
+        assert_eq!(memo.entries.len(), 4096);
+        // A repeat insert of a cached key neither grows nor reorders.
+        memo.insert(key(0), result.clone());
+        assert_eq!(memo.entries.len(), MEMO_CAPACITY);
+        // Each further key evicts exactly the oldest entry.
+        memo.insert(key(MEMO_CAPACITY), result.clone());
+        assert!(!memo.entries.contains_key(&key(0)));
+        assert!(memo.entries.contains_key(&key(1)));
+        memo.insert(key(MEMO_CAPACITY + 1), result.clone());
+        assert!(!memo.entries.contains_key(&key(1)));
+        assert!(memo.entries.contains_key(&key(2)));
+        assert!(memo.entries.contains_key(&key(MEMO_CAPACITY + 1)));
+        assert_eq!(memo.entries.len(), MEMO_CAPACITY);
+        assert_eq!(memo.order.len(), MEMO_CAPACITY);
+        // Dropping a generation keeps the order queue in step.
+        memo.insert(
+            MemoKey {
+                digest: 8,
+                ..key(0)
+            },
+            result,
+        );
+        memo.drop_generation(7);
+        assert_eq!(memo.entries.len(), 1);
+        assert_eq!(memo.order.len(), 1);
+        assert_eq!(memo.stats.invalidated, MEMO_CAPACITY as u64 - 1);
     }
 
     #[test]

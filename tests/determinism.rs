@@ -44,9 +44,9 @@ fn all_solvers_are_deterministic_given_a_seed() {
         let mut solvers: Vec<Box<dyn Solver>> = vec![
             Box::new(DGreedy::new()),
             Box::new(RGreedy::new(RGreedyConfig::with_budget(40))),
-            Box::new(Cbas::new(cbas_cfg)),
-            Box::new(CbasNd::new(nd_cfg.clone())),
-            Box::new(CbasNd::new(nd_cfg.clone().gaussian())),
+            Box::new(StagedSolver::cbas(cbas_cfg)),
+            Box::new(StagedSolver::cbas_nd(nd_cfg.clone())),
+            Box::new(StagedSolver::cbas_nd(nd_cfg.clone().gaussian())),
         ];
         for s in solvers.iter_mut() {
             let r = s.solve_seeded(&inst, seed).unwrap();
@@ -74,9 +74,12 @@ fn parallel_driver_is_thread_count_invariant() {
     cfg.base.stages = Some(4);
     cfg.base.num_start_nodes = Some(8);
 
-    let serial = CbasNd::new(cfg.clone()).solve_seeded(&inst, 9).unwrap();
+    let serial = StagedSolver::cbas_nd(cfg.clone())
+        .solve_seeded(&inst, 9)
+        .unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let par = ParallelCbasNd::new(cfg.clone(), threads)
+        let par = StagedSolver::cbas_nd(cfg.clone())
+            .threads(threads)
             .solve_seeded(&inst, 9)
             .unwrap();
         assert_eq!(

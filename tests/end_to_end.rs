@@ -93,7 +93,7 @@ fn budgets_are_respected_exactly() {
         let mut cfg = CbasNdConfig::with_budget(budget);
         cfg.base.stages = Some(5);
         cfg.base.num_start_nodes = Some(5);
-        let res = CbasNd::new(cfg).solve_seeded(&inst, 2).unwrap();
+        let res = StagedSolver::cbas_nd(cfg).solve_seeded(&inst, 2).unwrap();
         assert_eq!(res.stats.samples_drawn, budget, "budget {budget}");
     }
 }
@@ -108,7 +108,7 @@ fn quality_improves_with_budget_on_average() {
             let mut cfg = CbasNdConfig::with_budget(budget);
             cfg.base.stages = Some(5);
             cfg.base.num_start_nodes = Some(8);
-            total += CbasNd::new(cfg)
+            total += StagedSolver::cbas_nd(cfg)
                 .solve_seeded(&inst, seed)
                 .unwrap()
                 .group
@@ -134,10 +134,10 @@ fn graph_io_roundtrips_through_the_full_pipeline() {
 
     let inst_a = WasoInstance::new(graph, 6).unwrap();
     let inst_b = WasoInstance::new(parsed, 6).unwrap();
-    let a = CbasNd::new(CbasNdConfig::fast())
+    let a = StagedSolver::cbas_nd(CbasNdConfig::fast())
         .solve_seeded(&inst_a, 11)
         .unwrap();
-    let b = CbasNd::new(CbasNdConfig::fast())
+    let b = StagedSolver::cbas_nd(CbasNdConfig::fast())
         .solve_seeded(&inst_b, 11)
         .unwrap();
     assert_eq!(a.group, b.group);

@@ -6,16 +6,14 @@
 //!   incremental re-fingerprint and the CSR rebuild are both exact);
 //! * a memo hit returns the original [`SolveResult`] bit-identically,
 //!   in O(1) (no solver runs — pinned through the hit/miss counters);
-//! * a delta invalidates **only** the cached entries whose group or
-//!   one-hop frontier it touches; unaffected entries survive and still
-//!   hit;
-//! * an invalidated entry's group warm-starts the next matching solve,
-//!   and a warm-started solve is a pure function of
-//!   `(delta'd instance, spec, seed, incumbent)` — replayed histories
-//!   agree bit-for-bit, at every pool width.
+//! * the memo is keyed by the exact graph: a delta drops every entry of
+//!   the pre-delta graph, so solve → delta → solve is bit-identical to a
+//!   fresh session's solve of the post-delta graph — a session's answer
+//!   depends on (current graph, spec, seed), never on its history.
 
 use proptest::collection;
 use proptest::prelude::*;
+use waso::datasets::synthetic::{self, Scale};
 use waso::prelude::*;
 use waso_graph::{generate, GraphDelta, InterestModel, ScoreModel, TightnessModel};
 
@@ -125,12 +123,51 @@ proptest! {
         }
     }
 
-    /// Warm-started solves are a pure function of
-    /// `(delta'd instance, spec, seed, incumbent)`: replaying the same
-    /// solve → delta → solve history gives the same bits at every pool
-    /// width.
+    /// The exact-key contract: a session that solved, took a random
+    /// delta and solved again answers exactly what a fresh session over
+    /// the post-delta graph answers — whichever nodes the delta touched,
+    /// on the serial and the pooled path alike.
     #[test]
-    fn warm_started_replays_agree(
+    fn solve_delta_solve_matches_a_fresh_session(
+        seed in 0u64..500,
+        intent in (0u8..4, any::<u32>(), any::<u32>(), -0.5..4.0f64, -0.3..2.0f64),
+        threads in 0usize..=4,
+    ) {
+        let (kind, a, b, x, y) = intent;
+        let base = random_graph(seed, 16, 12);
+        let mut session = WasoSession::new(base.clone()).k(4).seed(seed);
+        let spec = match threads {
+            0 => "cbas-nd:budget=200,stages=3".to_string(),
+            t => format!("cbas-nd:budget=200,stages=3,threads={t}"),
+        };
+        let _ = session.solve_str(&spec);
+        let delta = realize_delta(&base, kind, a, b, x, y);
+        session.apply(&delta).unwrap();
+        let fresh = WasoSession::new(delta.apply(&base).unwrap()).k(4).seed(seed);
+        match (session.solve_str(&spec), fresh.solve_str(&spec)) {
+            (Ok(got), Ok(want)) => {
+                prop_assert_eq!(got.group.nodes(), want.group.nodes());
+                prop_assert_eq!(
+                    got.group.willingness().to_bits(),
+                    want.group.willingness().to_bits()
+                );
+                prop_assert_eq!(got.stats.samples_drawn, want.stats.samples_drawn);
+                prop_assert_eq!(got.stats.stages, want.stats.stages);
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            (got, want) => prop_assert!(
+                false,
+                "divergent feasibility: session={:?} fresh={:?}",
+                got.map(|r| r.group.willingness()),
+                want.map(|r| r.group.willingness())
+            ),
+        }
+    }
+
+    /// Replaying one solve → delta → solve history gives the same bits
+    /// at every pool width: the post-delta solve is a plain cold solve.
+    #[test]
+    fn delta_replays_agree_across_pool_widths(
         seed in 0u64..500,
         threads_a in 1usize..=8,
         threads_b in 1usize..=8,
@@ -140,17 +177,48 @@ proptest! {
             let mut session = WasoSession::new(base.clone()).k(4).seed(seed);
             let spec = format!("cbas-nd-par:budget=200,stages=3,threads={threads}");
             let first = session.solve_str(&spec).unwrap();
-            // Touch the incumbent group directly: guaranteed invalidation.
+            // Touch the solved group directly.
             let v = first.group.nodes()[0];
             session
                 .apply(&GraphDelta::SetInterest { v, interest: 2.0 })
                 .unwrap();
             assert_eq!(session.memo_stats().invalidated, 1);
-            let warm = session.solve_str(&spec).unwrap();
-            (warm.group.nodes().to_vec(), warm.group.willingness().to_bits())
+            let again = session.solve_str(&spec).unwrap();
+            (again.group.nodes().to_vec(), again.group.willingness().to_bits())
         };
         prop_assert_eq!(replay(threads_a), replay(threads_b));
     }
+}
+
+/// The reproduction behind the exact-key memo: a delta far from the
+/// cached group (node 1999 is outside the group and its one-hop
+/// frontier) still changes the best answer — a session must re-solve,
+/// not serve the pre-delta group.
+#[test]
+fn a_delta_outside_the_cached_group_still_changes_the_answer() {
+    let graph = synthetic::facebook_like(Scale::Small, 7);
+    let spec = "cbas-nd:budget=500,stages=10,start-nodes=8";
+    let mut session = WasoSession::new(graph.clone()).k(10);
+    let before = session.solve_str(spec).unwrap();
+    let delta = GraphDelta::SetInterest {
+        v: NodeId(1999),
+        interest: 1000.0,
+    };
+    assert!(!before.group.contains(NodeId(1999)));
+    session.apply(&delta).unwrap();
+    let after = session.solve_str(spec).unwrap();
+    let fresh = WasoSession::new(delta.apply(&graph).unwrap())
+        .k(10)
+        .solve_str(spec)
+        .unwrap();
+    assert_eq!(after.group.nodes(), fresh.group.nodes());
+    assert_eq!(
+        after.group.willingness().to_bits(),
+        fresh.group.willingness().to_bits()
+    );
+    assert!(after.group.contains(NodeId(1999)), "{}", after.group);
+    let stats = session.memo_stats();
+    assert_eq!((stats.hits, stats.misses, stats.invalidated), (0, 2, 1));
 }
 
 #[test]
@@ -202,7 +270,7 @@ fn two_cliques() -> SocialGraph {
 }
 
 #[test]
-fn deltas_invalidate_only_touched_entries() {
+fn deltas_drop_every_entry_of_the_pre_delta_graph() {
     let session = WasoSession::new(two_cliques()).k(3).seed(9);
     let in_a = "cbas-nd:budget=150,stages=3,require=0";
     let in_b = "cbas-nd:budget=150,stages=3,require=4";
@@ -211,9 +279,9 @@ fn deltas_invalidate_only_touched_entries() {
     assert!(first_a.group.contains(NodeId(0)));
     assert!(first_b.group.contains(NodeId(4)));
 
-    // Weaken an edge inside entry A's winning group: entry A dies,
-    // entry B (whole clique outside the delta's frontier) survives —
-    // re-keyed to the new fingerprint.
+    // Weaken an edge inside entry A's winning group. Entry B's clique is
+    // far from the delta, but its key names the pre-delta graph: both
+    // entries go.
     let (u, v) = (first_a.group.nodes()[0], first_a.group.nodes()[1]);
     let mut session = session;
     session
@@ -224,28 +292,28 @@ fn deltas_invalidate_only_touched_entries() {
             tau_vu: 0.25,
         })
         .unwrap();
-    assert_eq!(session.memo_stats().invalidated, 1);
+    assert_eq!(session.memo_stats().invalidated, 2);
 
-    // Survivor still hits, bit-identically.
-    let again_b = session.solve_str(in_b).unwrap();
-    assert_eq!(again_b.group.nodes(), first_b.group.nodes());
-    assert_eq!(
-        again_b.group.willingness().to_bits(),
-        first_b.group.willingness().to_bits()
-    );
-    assert_eq!(session.memo_stats().hits, 1);
-
-    // The invalidated side re-solves (a miss), and its willingness is
-    // computed on the *delta'd* graph — never the stale cached value.
+    // Both sides re-solve (misses, no hits), on the delta'd graph.
     let again_a = session.solve_str(in_a).unwrap();
-    assert_eq!(session.memo_stats().hits, 1);
-    let recomputed =
-        Group::new(&session.instance().unwrap(), again_a.group.nodes().to_vec()).unwrap();
-    assert_eq!(
-        again_a.group.willingness().to_bits(),
-        recomputed.willingness().to_bits()
-    );
+    let again_b = session.solve_str(in_b).unwrap();
+    let stats = session.memo_stats();
+    assert_eq!((stats.hits, stats.misses), (0, 4));
+    let instance = session.instance().unwrap();
+    for again in [&again_a, &again_b] {
+        let recomputed = Group::new(&instance, again.group.nodes().to_vec()).unwrap();
+        assert_eq!(
+            again.group.willingness().to_bits(),
+            recomputed.willingness().to_bits()
+        );
+    }
     assert!(again_a.group.willingness() < first_a.group.willingness());
+    // Clique B is untouched, so its re-solve finds the same group.
+    assert_eq!(again_b.group.nodes(), first_b.group.nodes());
+
+    // The post-delta results key a working memo of their own.
+    session.solve_str(in_b).unwrap();
+    assert_eq!(session.memo_stats().hits, 1);
 }
 
 /// The satellite regression: solve → delta touching the group → solve

@@ -36,11 +36,11 @@ fn every_component_agrees_on_figure_one() {
     assert_eq!(brute.nodes(), bb.group.nodes());
 
     // Every randomized solver escapes the trap with a modest budget.
-    let cbas = Cbas::new(CbasConfig::fast())
+    let cbas = StagedSolver::cbas(CbasConfig::fast())
         .solve_seeded(&inst, 1)
         .unwrap();
     assert_eq!(cbas.group.willingness(), 30.0, "CBAS");
-    let nd = CbasNd::new(CbasNdConfig::fast())
+    let nd = StagedSolver::cbas_nd(CbasNdConfig::fast())
         .solve_seeded(&inst, 1)
         .unwrap();
     assert_eq!(nd.group.willingness(), 30.0, "CBAS-ND");
@@ -91,7 +91,7 @@ fn theorem_five_quality_bound_holds_empirically() {
     for seed in 0..runs {
         let mut cfg = CbasConfig::with_budget(budget);
         cfg.stages = Some(4);
-        let got = Cbas::new(cfg).solve_seeded(&inst, seed).unwrap();
+        let got = StagedSolver::cbas(cfg).solve_seeded(&inst, seed).unwrap();
         total += got.group.willingness();
     }
     let mean = total / runs as f64;

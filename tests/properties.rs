@@ -52,7 +52,7 @@ proptest! {
         let mut solvers: Vec<Box<dyn Solver>> = vec![
             Box::new(DGreedy::new()),
             Box::new(RGreedy::new(RGreedyConfig::with_budget(30))),
-            Box::new(CbasNd::new(cfg)),
+            Box::new(StagedSolver::cbas_nd(cfg)),
         ];
         for s in solvers.iter_mut() {
             if let Ok(res) = s.solve_seeded(&inst, seed) {
@@ -62,7 +62,7 @@ proptest! {
     }
 
     /// The staged engine's determinism contract, generalized from the
-    /// hand-picked cases in `parallel.rs`: for random instances, budgets
+    /// hand-picked cases in `staged.rs`: for random instances, budgets
     /// and stage counts, the pooled backend is bit-identical to the serial
     /// solver at every thread count — same group, same samples drawn, same
     /// pruned-start and backtrack counts.
@@ -82,9 +82,9 @@ proptest! {
         if backtrack {
             cfg = cfg.with_backtracking(0.05);
         }
-        let serial = CbasNd::new(cfg.clone()).solve_seeded(&inst, seed);
+        let serial = StagedSolver::cbas_nd(cfg.clone()).solve_seeded(&inst, seed);
         for threads in [1usize, 2, 4, 8] {
-            let par = ParallelCbasNd::new(cfg.clone(), threads).solve_seeded(&inst, seed);
+            let par = StagedSolver::cbas_nd(cfg.clone()).threads(threads).solve_seeded(&inst, seed);
             match (&serial, &par) {
                 (Ok(s), Ok(p)) => {
                     prop_assert_eq!(&s.group, &p.group, "threads={}", threads);
@@ -122,9 +122,9 @@ proptest! {
         let required: Vec<NodeId> = (0..req_count as u32).map(NodeId).collect();
         let mut cfg = CbasNdConfig::with_budget(budget);
         cfg.base.stages = Some(stages);
-        let serial = CbasNd::new(cfg.clone()).solve_with_required(&inst, &required, seed);
+        let serial = StagedSolver::cbas_nd(cfg.clone()).solve_with_required(&inst, &required, seed);
         for threads in [1usize, 2, 4, 8] {
-            let par = ParallelCbasNd::new(cfg.clone(), threads)
+            let par = StagedSolver::cbas_nd(cfg.clone()).threads(threads)
                 .solve_with_required(&inst, &required, seed);
             match (&serial, &par) {
                 (Ok(s), Ok(p)) => {
@@ -302,8 +302,9 @@ proptest! {
     /// The tentpole determinism pin: `submit` + `wait` is bit-identical
     /// to the blocking `solve` — and both to a direct registry-built
     /// solver run with no session machinery at all — for random
-    /// instances, thread counts 1–8, and both pool modes (shared pool
-    /// jobs and private per-solve pools). The handle plumbing (job
+    /// instances, thread counts 1–8, and both ways a session-less solve
+    /// finds workers: one-shot (a transient pool of its own) or as a job
+    /// of a caller-held pool of another width. The handle plumbing (job
     /// thread, channels, control) must be invisible in results.
     #[test]
     fn submit_wait_is_bit_identical_to_blocking_solve(
@@ -313,22 +314,23 @@ proptest! {
         k in 2usize..6,
         budget in 8u64..100,
         threads in 1usize..9,
-        private_pool: bool,
+        pool_width in 1usize..5,
+        one_shot: bool,
     ) {
         use std::sync::Arc;
 
-        let inst = random_instance(seed, n, extra, k, true);
+        let inst = Arc::new(random_instance(seed, n, extra, k, true));
         let graph = inst.graph().clone();
-        let mut spec = SolverSpec::cbas_nd().budget(budget).stages(3).threads(threads);
-        if private_pool {
-            spec = spec.pool(PoolMode::Private);
-        }
+        let spec = SolverSpec::cbas_nd().budget(budget).stages(3).threads(threads);
 
-        // Ground truth: the raw solver, no session, no threads spawned
-        // by the harness.
-        let registry = waso::registry();
-        let direct = registry.build(&spec).unwrap()
-            .solve_with_required(&Arc::new(inst), &[], seed);
+        // Ground truth: the raw solver, no session.
+        let mut solver = waso::registry().build(&spec).unwrap();
+        let direct = if one_shot {
+            solver.solve_with_required(&inst, &[], seed)
+        } else {
+            let pool = SharedPool::new(pool_width);
+            solver.solve_controlled(&inst, &[], seed, Some(&pool), &JobControl::new())
+        };
 
         let blocking = WasoSession::new(graph.clone()).k(k).seed(seed).solve(&spec);
         let handled = WasoSession::new(graph).k(k).seed(seed)
